@@ -36,7 +36,6 @@ from .errors import (
     ArgumentError,
     ConsistencyError,
     PreconditionError,
-    UnsupportedError,
 )
 from .geometry import (
     AcyclicityReport,
@@ -81,7 +80,6 @@ __all__ = [
     "RiemannRochReport",
     "ArgumentError",
     "PreconditionError",
-    "UnsupportedError",
     "ConsistencyError",
     "tau",
     "tau_multiset",

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
 
 from .errors import ArgumentError, exact_div
 
 __all__ = [
     "MultVec",
-    "lambda_to_e",
-    "e_to_lambda",
-    "e_factorial",
     "conjugate",
     "partitions",
     "compositions",
@@ -56,7 +53,7 @@ class MultVec:
     '1^2 2^1'
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, counts: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         pairs = counts.items() if isinstance(counts, Mapping) else counts
@@ -66,13 +63,22 @@ class MultVec:
             if count:
                 merged[size] = merged.get(size, 0) + count
         self._items: tuple[tuple[int, int], ...] = tuple(sorted(merged.items()))
+        self._hash = hash(self._items)
+
+    @classmethod
+    def _trusted(cls, items: tuple[tuple[int, int], ...]) -> "MultVec":
+        # items: (size >= 1, count >= 1) pairs sorted by size, as internal arithmetic produces
+        self = object.__new__(cls)
+        self._items = items
+        self._hash = hash(items)
+        return self
 
     @classmethod
     def from_partition(cls, parts: Iterable[int]) -> "MultVec":
         out: dict[int, int] = {}
         for p in validate_partition(parts):
             out[p] = out.get(p, 0) + 1
-        return cls(out)
+        return cls._trusted(tuple(sorted(out.items())))
 
     @classmethod
     def parse(cls, text: str) -> "MultVec":
@@ -146,7 +152,7 @@ class MultVec:
         return self._items <= other._items
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"MultVec({dict(self._items)!r})"
@@ -161,25 +167,6 @@ def validate_partition(parts: Iterable[int]) -> tuple[int, ...]:
     if any(out[i] < out[i + 1] for i in range(len(out) - 1)):
         raise ArgumentError(f"partition parts must be weakly decreasing, got {out}")
     return out
-
-
-def lambda_to_e(parts: Iterable[int]) -> MultVec:
-    """Multiplicity coordinates of a partition.
-
-    >>> lambda_to_e((2, 1, 1)).items()
-    ((1, 2), (2, 1))
-    """
-    return MultVec.from_partition(parts)
-
-
-def e_to_lambda(e: MultVec) -> tuple[int, ...]:
-    """Inverse of :func:`lambda_to_e`."""
-    return e.to_partition()
-
-
-def e_factorial(e: MultVec) -> int:
-    """Product of factorials of the counts of ``e``."""
-    return e.factorial_product()
 
 
 def conjugate(parts: Iterable[int]) -> tuple[int, ...]:
@@ -210,9 +197,26 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
         yield ()
         return
     top = n if max_part is None or max_part > n else max_part
-    for first in range(top, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    if top < 1:
+        return
+    # the largest partition with parts at most top, then successors: the
+    # rightmost part above 1 drops by one and the parts after it are
+    # refilled greedily with parts no larger than the lowered one
+    q, r = divmod(n, top)
+    parts = [top] * q + ([r] if r else [])
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        k = parts.pop() - 1
+        q, r = divmod(ones + 1, k)
+        parts.extend([k] * (q + 1))
+        if r:
+            parts.append(r)
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:

@@ -13,8 +13,8 @@ independent routes to those constants are kept side by side:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
 
 from .combinat import MultVec, partitions, set_partitions
 from .divisors import Divisor
@@ -35,7 +35,7 @@ __all__ = [
 class TauBasis:
     """One basis cycle, written ``tau[delta; e]``."""
 
-    __slots__ = ("delta", "e")
+    __slots__ = ("delta", "e", "_hash")
 
     def __init__(self, delta: Divisor, e: MultVec):
         if not isinstance(delta, Divisor):
@@ -44,6 +44,15 @@ class TauBasis:
             raise ArgumentError(f"e must be a MultVec, got {type(e).__name__}")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "e", e)
+        object.__setattr__(self, "_hash", hash((delta, e)))
+
+    @classmethod
+    def _trusted(cls, delta: Divisor, e: MultVec) -> "TauBasis":
+        self = object.__new__(cls)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "_hash", hash((delta, e)))
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TauBasis is immutable")
@@ -83,7 +92,7 @@ class TauBasis:
         return isinstance(other, TauBasis) and self.delta == other.delta and self.e == other.e
 
     def __hash__(self) -> int:
-        return hash((self.delta, self.e))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"TauBasis({self.delta!r}, {self.e!r})"
@@ -120,9 +129,14 @@ class CycleSum:
                 merged[basis] = total
             else:
                 merged.pop(basis, None)
-        self._terms: tuple[tuple[TauBasis, int], ...] = tuple(
-            sorted(merged.items(), key=lambda kv: kv[0].sort_key())
-        )
+        self._terms: tuple[tuple[TauBasis, int], ...] = _sorted_terms(merged)
+
+    @classmethod
+    def _trusted(cls, terms: tuple[tuple[TauBasis, int], ...]) -> "CycleSum":
+        # terms: sorted, distinct bases, nonzero integer coefficients
+        self = object.__new__(cls)
+        self._terms = terms
+        return self
 
     @classmethod
     def zero(cls) -> "CycleSum":
@@ -144,7 +158,7 @@ class CycleSum:
         return tuple(sorted({b.grade for b, _ in self._terms}))
 
     def grade_part(self, k: int) -> "CycleSum":
-        return CycleSum({b: c for b, c in self._terms if b.grade == k})
+        return CycleSum._trusted(tuple((b, c) for b, c in self._terms if b.grade == k))
 
     def is_homogeneous(self) -> bool:
         return len(self.grades()) <= 1
@@ -152,10 +166,14 @@ class CycleSum:
     def __add__(self, other: "CycleSum") -> "CycleSum":
         if not isinstance(other, CycleSum):
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         merged = dict(self._terms)
         for b, c in other._terms:
             merged[b] = merged.get(b, 0) + c
-        return CycleSum(merged)
+        return CycleSum._trusted(_sorted_terms({b: c for b, c in merged.items() if c}))
 
     def __sub__(self, other: "CycleSum") -> "CycleSum":
         if not isinstance(other, CycleSum):
@@ -163,12 +181,14 @@ class CycleSum:
         return self + (-other)
 
     def __neg__(self) -> "CycleSum":
-        return CycleSum({b: -c for b, c in self._terms})
+        return CycleSum._trusted(tuple((b, -c) for b, c in self._terms))
 
     def scale(self, k: int) -> "CycleSum":
         if not isinstance(k, int) or isinstance(k, bool):
             raise ArgumentError(f"scalars are integers, got {k!r}")
-        return CycleSum({b: k * c for b, c in self._terms})
+        if not k:
+            return CycleSum()
+        return CycleSum._trusted(tuple((b, k * c) for b, c in self._terms))
 
     def __rmul__(self, k: int) -> "CycleSum":
         if isinstance(k, int) and not isinstance(k, bool):
@@ -180,14 +200,9 @@ class CycleSum:
             return self.scale(other)
         if not isinstance(other, CycleSum):
             return NotImplemented
-        acc: dict[TauBasis, int] = {}
-        for b1, c1 in self._terms:
-            for b2, c2 in other._terms:
-                delta = b1.delta + b2.delta
-                for f, n in structure_constants(b1.e, b2.e).items():
-                    key = TauBasis(delta, f)
-                    acc[key] = acc.get(key, 0) + c1 * c2 * n
-        return CycleSum(acc)
+        acc: dict[tuple[Divisor, MultVec], int] = {}
+        _accumulate_product(acc, self._terms, other._terms)
+        return _from_raw(acc)
 
     def __pow__(self, k: int) -> "CycleSum":
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -247,6 +262,37 @@ class CycleSum:
         return f"CycleSum<{self.render()}>"
 
 
+def _sorted_terms(merged: dict[TauBasis, int]) -> tuple[tuple[TauBasis, int], ...]:
+    return tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
+
+
+def _accumulate_product(
+    acc: dict[tuple[Divisor, MultVec], int],
+    left: tuple[tuple[TauBasis, int], ...],
+    right: tuple[tuple[TauBasis, int], ...],
+) -> None:
+    """Add the product of two term tuples into ``acc``, keyed on raw ``(delta, f)`` pairs."""
+    get = acc.get
+    for b1, c1 in left:
+        d1 = b1.delta
+        a = b1.e.items()
+        for b2, c2 in right:
+            delta = d1 + b2.delta
+            b = b2.e.items()
+            c = c1 * c2
+            for f, n in _structure_constants_items(a, b) if a <= b else _structure_constants_items(b, a):
+                key = (delta, f)
+                acc[key] = get(key, 0) + c * n
+
+
+def _from_raw(acc: dict[tuple[Divisor, MultVec], int]) -> CycleSum:
+    """The sum of ``c * tau[delta; f]`` over ``acc``, one basis per nonzero term."""
+    new = TauBasis._trusted
+    return CycleSum._trusted(
+        _sorted_terms({new(delta, f): c for (delta, f), c in acc.items() if c})
+    )
+
+
 def tau(delta: Divisor | None = None, e: MultVec | None = None, coeff: int = 1) -> CycleSum:
     """Single basis cycle as a sum, scaled by ``coeff``."""
     basis = TauBasis(delta if delta is not None else Divisor(), e if e is not None else MultVec())
@@ -300,9 +346,10 @@ def _falling(n: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def _structure_constants_items(
     e_items: tuple[tuple[int, int], ...], f_items: tuple[tuple[int, int], ...]
-) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
-    e = MultVec(dict(e_items))
-    ep = MultVec(dict(f_items))
+) -> tuple[tuple[MultVec, int], ...]:
+    # keyed on the items of both vectors, smaller first: the product is symmetric
+    e = MultVec._trusted(e_items)
+    ep = MultVec._trusted(f_items)
     sizes_a = e.support
     sizes_b = ep.support
     caps_a = tuple(e.count(s) for s in sizes_a)
@@ -331,13 +378,12 @@ def _structure_constants_items(
         for row in m:
             for entry in row:
                 denom *= math.factorial(entry)
-        f = MultVec(out_counts)
+        f = MultVec._trusted(tuple(sorted(out_counts.items())))
         numerators[f] = numerators.get(f, 0) + exact_div(matchings, denom)
     scale = e.factorial_product() * ep.factorial_product()
-    out = []
-    for f, raw in sorted(numerators.items()):
-        out.append((f.items(), exact_div(f.factorial_product() * raw, scale)))
-    return tuple(out)
+    return tuple(
+        (f, exact_div(f.factorial_product() * raw, scale)) for f, raw in sorted(numerators.items())
+    )
 
 
 def structure_constants(e: MultVec, e_prime: MultVec) -> dict[MultVec, int]:
@@ -352,8 +398,8 @@ def structure_constants(e: MultVec, e_prime: MultVec) -> dict[MultVec, int]:
         raise ArgumentError("structure constants take two MultVec arguments")
     a, b = e.items(), e_prime.items()
     if a > b:
-        a, b = b, a  # the product is symmetric, halve the cache
-    return {MultVec(dict(fi)): n for fi, n in _structure_constants_items(a, b)}
+        a, b = b, a
+    return dict(_structure_constants_items(a, b))
 
 
 # ---------------------------------------------------------------------------

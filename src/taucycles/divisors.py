@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import ArgumentError
 
@@ -43,7 +43,7 @@ class Divisor:
     True
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, coeffs: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -55,6 +55,15 @@ class Divisor:
             if c:
                 merged[name] = merged.get(name, 0) + c
         self._items: tuple[tuple[str, int], ...] = tuple(sorted(merged.items()))
+        self._hash = hash(self._items)
+
+    @classmethod
+    def _trusted(cls, items: tuple[tuple[str, int], ...]) -> "Divisor":
+        # items: sorted (valid name, positive int) pairs, as internal arithmetic produces
+        self = object.__new__(cls)
+        self._items = items
+        self._hash = hash(items)
+        return self
 
     @classmethod
     def zero(cls) -> "Divisor":
@@ -121,10 +130,14 @@ class Divisor:
     def __add__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):
             return NotImplemented
+        if not other._items:
+            return self
+        if not self._items:
+            return other
         merged = dict(self._items)
         for n, c in other._items:
             merged[n] = merged.get(n, 0) + c
-        return Divisor(merged)
+        return Divisor._trusted(tuple(sorted(merged.items())))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         """Difference, defined only when ``other <= self`` pointwise."""
@@ -170,7 +183,7 @@ class Divisor:
         return isinstance(other, Divisor) and self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Divisor({dict(self._items)!r})"

@@ -16,10 +16,6 @@ class PreconditionError(ValueError):
     """Well-formed input outside a documented hypothesis.  CLI exit code 3."""
 
 
-class UnsupportedError(PreconditionError):
-    """Asked for a computation the model deliberately does not cover."""
-
-
 class ConsistencyError(RuntimeError):
     """Two routes to the same value disagreed, or an exact division failed.
 

@@ -8,9 +8,9 @@ Multiplication is the Cauchy product truncated at ``N``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Sequence
 
-from .cycle_algebra import CycleSum, unit
+from .cycle_algebra import CycleSum, _accumulate_product, _from_raw, unit
 from .errors import ArgumentError
 
 __all__ = ["CycleSeries", "series_one", "series_geometric_inverse"]
@@ -33,6 +33,13 @@ class CycleSeries:
                 )
         self._coeffs = sums
 
+    @classmethod
+    def _trusted(cls, sums: tuple[CycleSum, ...]) -> "CycleSeries":
+        # sums: nonempty, the degree-n entry homogeneous of grade n
+        self = object.__new__(cls)
+        self._coeffs = sums
+        return self
+
     @property
     def max_degree(self) -> int:
         return len(self._coeffs) - 1
@@ -52,7 +59,7 @@ class CycleSeries:
             raise ArgumentError(
                 f"cannot truncate to degree {n}, stored range is 0..{self.max_degree}"
             )
-        return CycleSeries(self._coeffs[: n + 1])
+        return CycleSeries._trusted(self._coeffs[: n + 1])
 
     def _check_same_order(self, other: "CycleSeries") -> None:
         if self.max_degree != other.max_degree:
@@ -64,33 +71,31 @@ class CycleSeries:
         if not isinstance(other, CycleSeries):
             return NotImplemented
         self._check_same_order(other)
-        return CycleSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
+        return CycleSeries._trusted(tuple(a + b for a, b in zip(self._coeffs, other._coeffs)))
 
     def __sub__(self, other: "CycleSeries") -> "CycleSeries":
         if not isinstance(other, CycleSeries):
             return NotImplemented
         self._check_same_order(other)
-        return CycleSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
+        return CycleSeries._trusted(tuple(a - b for a, b in zip(self._coeffs, other._coeffs)))
 
     def __neg__(self) -> "CycleSeries":
-        return CycleSeries([-a for a in self._coeffs])
+        return CycleSeries._trusted(tuple(-a for a in self._coeffs))
 
     def __mul__(self, other: "CycleSeries") -> "CycleSeries":
         if not isinstance(other, CycleSeries):
             return NotImplemented
         self._check_same_order(other)
-        n = self.max_degree
+        left = [c.terms() for c in self._coeffs]
+        right = [c.terms() for c in other._coeffs]
         out = []
-        for k in range(n + 1):
-            acc = CycleSum.zero()
+        for k in range(self.max_degree + 1):
+            acc: dict = {}
             for i in range(k + 1):
-                a = self._coeffs[i]
-                b = other._coeffs[k - i]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            out.append(acc)
-        return CycleSeries(out)
+                if left[i] and right[k - i]:
+                    _accumulate_product(acc, left[i], right[k - i])
+            out.append(_from_raw(acc))
+        return CycleSeries._trusted(tuple(out))
 
     def __pow__(self, k: int) -> "CycleSeries":
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -133,8 +138,7 @@ def series_one(max_degree: int) -> CycleSeries:
     """The multiplicative identity up to ``max_degree``."""
     if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
         raise ArgumentError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
-    coeffs = [unit()] + [CycleSum.zero() for _ in range(max_degree)]
-    return CycleSeries(coeffs)
+    return CycleSeries._trusted((unit(),) + (CycleSum.zero(),) * max_degree)
 
 
 def series_geometric_inverse(series: CycleSeries) -> CycleSeries:

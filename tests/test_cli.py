@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import taucycles
 from taucycles.cli import main
 from taucycles.errors import ConsistencyError
 
@@ -323,3 +328,20 @@ class TestSelftestAndPlumbing:
             )
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+def test_long_rank_one_series_exits_cleanly():
+    # 990 nested partition levels used to overflow the recursion limit
+    src = str(Path(taucycles.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "taucycles", "series", "--rank", "1", "--max-degree", "990"],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    lines = proc.stdout.decode().splitlines()
+    assert len(lines) == 991
+    assert lines[990] == "tau[0; 1^990]"

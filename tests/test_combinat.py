@@ -43,6 +43,27 @@ def test_partitions_max_part():
     assert list(partitions(4, max_part=2)) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
+def _recursive_partitions(n, top):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, top), 0, -1):
+        for rest in _recursive_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_order_matches_recursive_reference():
+    for n in range(15):
+        assert list(partitions(n)) == list(_recursive_partitions(n, n))
+        for top in range(-1, n + 2):
+            assert list(partitions(n, max_part=top)) == list(_recursive_partitions(n, top))
+
+
+def test_partitions_deeper_than_the_recursion_limit():
+    assert list(partitions(990, max_part=1)) == [(1,) * 990]
+    assert sum(1 for _ in partitions(990, max_part=2)) == 496
+
+
 def test_partition_validation():
     with pytest.raises(ArgumentError):
         validate_partition((1, 2))
