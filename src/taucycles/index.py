@@ -3,15 +3,19 @@
 The degrees d_lambda are the unknowns of a triangular linear system built
 from 0-1 matrix counts.  Solving it once per (genus, n) lets any
 characteristic-cycle series be checked against the Euler characteristics
-of the symmetric powers, degree by degree.
+of the symmetric powers, degree by degree.  Every solved degree is
+compared with the closed form d_lambda = (2g-2)_{l(lambda)} / prod_i e_i!,
+the monomial symmetric function m_lambda evaluated at 2g-2 ones, which
+shares no code with the count matrix.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .combinat import compositions, conjugate, count_m, gen_binomial, partitions
-from .errors import ArgumentError, ConsistencyError
+from .combinat import MultVec, _count_binary_matrices, conjugate, gen_binomial, partitions
+from .combinat import compositions  # noqa: F401 - perfbench/tracing.py resolves it by name
+from .errors import ArgumentError, ConsistencyError, exact_div
 from .geometry import sheaf_euler_characteristic
 from .series import CycleSeries
 from .sheaves import SheafDescriptor, s_tame
@@ -56,7 +60,9 @@ def index_matrix(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ArgumentError(f"n must be a nonnegative integer, got {n!r}")
     lams = list(partitions(n))
-    matrix = [[count_m(conjugate(lams[i]), lams[j]) for j in range(len(lams))] for i in range(len(lams))]
+    # partitions and their conjugates are descending without zeros, the
+    # form the count recursion takes, so the checks of count_m are skipped
+    matrix = [[_count_binary_matrices(rows, mu) for mu in lams] for rows in map(conjugate, lams)]
     for i in range(len(lams)):
         if matrix[i][i] != 1:
             raise ConsistencyError(f"diagonal entry for {lams[i]} is {matrix[i][i]}, expected 1")
@@ -86,24 +92,30 @@ def _infer_degrees_cached(genus: int, n: int) -> tuple[tuple[tuple[int, ...], in
         for i in range(j):
             val -= matrix[i][j] * y[i]
         y.append(val)
-    degrees = {conjugate(lams[i]): y[i] for i in range(len(lams))}
-    # the defining relations hold for every composition, not only the
-    # sorted ones; re-check the full overdetermined system
-    for mu in compositions(n):
-        lhs = sum(count_m(lam, mu) * degrees[lam] for lam in lams)
-        rhs = _chi_product(chi_values, mu, n)
-        if lhs != rhs:
+    degrees = {}
+    for mu, solved in zip(lams, y):
+        lam = conjugate(mu)
+        falling = 1
+        for k in range(len(lam)):
+            falling *= 2 * genus - 2 - k
+        closed = exact_div(falling, MultVec.from_partition(lam).factorial_product())
+        if solved != closed:
             raise ConsistencyError(
-                f"degree relations fail at genus {genus} for column sums {mu}: {lhs} != {rhs}"
+                f"stratum degree at genus {genus} for {lam}: triangular solve gives {solved}, "
+                f"closed form (2g-2)_l / prod e_i! gives {closed}"
             )
+        degrees[lam] = solved
     return tuple(sorted(degrees.items()))
 
 
 def infer_degrees(genus: int, n: int) -> dict[tuple[int, ...], int]:
     """Stratum degree d_lambda for every partition of ``n`` on a genus-g curve.
 
-    Solved by forward substitution from the triangular count matrix, then
-    re-verified against the relations for all compositions of ``n``.
+    Two routes, both run once per (genus, n) before the result is cached:
+    forward substitution in the unit-triangular count matrix, and the
+    closed form ``(2g-2)_{l(lambda)} / prod_i e_i!`` with ``(x)_l`` the
+    falling factorial and ``e_i`` the multiplicity of the part ``i``.
+    They must agree exactly, or ConsistencyError is raised.
 
     >>> infer_degrees(0, 1)
     {(1,): -2}

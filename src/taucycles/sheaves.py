@@ -267,12 +267,29 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _merge_enumeration(parts: tuple[int, ...]) -> CycleSum:
+    sign = -1 if len(parts) % 2 else 1
+    acc: dict[TauBasis, int] = {}
+    for grouping in set_partitions(range(len(parts))):
+        merged = sorted((sum(parts[i] for i in block) for block in grouping), reverse=True)
+        f = MultVec.from_partition(merged)
+        key = TauBasis(Divisor(), f)
+        acc[key] = acc.get(key, 0) + sign * f.factorial_product()
+    return CycleSum(acc)
+
+
+_PARTITION_ENUM_CAP = 8  # Bell(8) = 4140 set partitions
+
+
 def pushforward_partition(lam: tuple[int, ...], base_char: int = 0) -> CycleSum:
     """Cycle class pushed forward along the addition map of a partition.
 
-    ``(-1)^l`` times the sum over all ways of merging the ``l`` parts,
-    each merged shape weighted by the product of the factorials of its
-    multiplicities.  Every part must be invertible in the base field.
+    Two routes.  The fold ``prod_j (-tau[0; lam_j^1])`` is returned.  For
+    at most eight parts it is compared exactly with ``(-1)^l`` times the
+    sum over all ways of merging the ``l`` parts, each merged shape
+    weighted by the product of the factorials of its multiplicities; a
+    disagreement raises ConsistencyError.  Every part must be invertible
+    in the base field.
     """
     parts = validate_partition(lam)
     if not isinstance(base_char, int) or isinstance(base_char, bool) or (
@@ -285,11 +302,14 @@ def pushforward_partition(lam: tuple[int, ...], base_char: int = 0) -> CycleSum:
                 raise PreconditionError(
                     f"part {p} is not invertible in characteristic {base_char}"
                 )
-    sign = -1 if len(parts) % 2 else 1
-    acc: dict[TauBasis, int] = {}
-    for grouping in set_partitions(range(len(parts))):
-        merged = sorted((sum(parts[i] for i in block) for block in grouping), reverse=True)
-        f = MultVec.from_partition(merged)
-        key = TauBasis(Divisor(), f)
-        acc[key] = acc.get(key, 0) + sign * f.factorial_product()
-    return CycleSum(acc)
+    fold_route = tau()
+    for p in parts:
+        fold_route = fold_route * tau(None, MultVec({p: 1}), coeff=-1)
+    if len(parts) <= _PARTITION_ENUM_CAP:
+        merge_route = _merge_enumeration(parts)
+        if merge_route != fold_route:
+            raise ConsistencyError(
+                f"partition pushforward of {parts}: set-partition enumeration and factor "
+                f"product disagree: {merge_route.render()} vs {fold_route.render()}"
+            )
+    return fold_route

@@ -270,7 +270,7 @@ def test_criterion_08_index_consistency(capfd):
     ok = True
     for genus in range(4):
         for n in range(7):
-            degrees = infer_degrees(genus, n)  # re-verified over all compositions inside
+            degrees = infer_degrees(genus, n)  # checked against the closed form inside
             if degrees[(1,) * n] != gen_binomial(2 * genus - 2, n):
                 ok = False
             if n == 0 and degrees[()] != 1:

@@ -345,3 +345,18 @@ def test_long_rank_one_series_exits_cleanly():
     lines = proc.stdout.decode().splitlines()
     assert len(lines) == 991
     assert lines[990] == "tau[0; 1^990]"
+
+
+def test_long_partition_pushforward_exits_cleanly():
+    # 14 parts: Bell(14) set partitions, so only the fold route runs
+    src = str(Path(taucycles.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "taucycles", "pushforward", "--partition", ",".join(["1"] * 14)],
+        capture_output=True,
+        env=env,
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout.decode().endswith(" + tau[0; 14^1]\n")

@@ -1,8 +1,18 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taucycles.combinat import gen_binomial, partitions
+from taucycles import index
+from taucycles.combinat import (
+    compositions,
+    conjugate,
+    count_m,
+    count_m_oracle,
+    gen_binomial,
+    partitions,
+)
 from taucycles.cycle_algebra import tau
 from taucycles.divisors import Divisor
 from taucycles.errors import ArgumentError, ConsistencyError
@@ -111,6 +121,44 @@ class TestInferDegrees:
     def test_covers_all_partitions(self):
         got = infer_degrees(3, 5)
         assert set(got) == set(partitions(5))
+
+
+class TestIndexRoutes:
+    def test_relations_hold_for_every_composition(self):
+        # the full overdetermined system, through the public count_m; the
+        # triangular solve only uses the sorted column sums
+        for genus in range(5):
+            for n in range(9):
+                degrees = infer_degrees(genus, n)
+                chi = chi_sym_powers(2 - 2 * genus, n)
+                for mu in compositions(n):
+                    lhs = sum(count_m(lam, mu) * d for lam, d in degrees.items())
+                    assert lhs == (-1) ** n * math.prod(chi[p] for p in mu), (genus, mu)
+
+    def test_matrix_matches_public_count_m(self):
+        for n in range(10):
+            lams, matrix = index_matrix(n)
+            assert lams == list(partitions(n))
+            for lam, row in zip(lams, matrix):
+                rows = conjugate(lam)
+                for mu, entry in zip(lams, row):
+                    assert entry == count_m(rows, mu)
+                    if len(rows) * len(mu) <= 20:
+                        assert entry == count_m_oracle(rows, mu)
+
+    def test_corrupted_solve_is_caught(self, monkeypatch):
+        original = index._chi_product
+
+        def off_by_one(chi_values, parts, n):
+            return original(chi_values, parts, n) + (1 if parts == (2, 1) else 0)
+
+        monkeypatch.setattr(index, "_chi_product", off_by_one)
+        index._infer_degrees_cached.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError, match="closed form"):
+                infer_degrees(2, 3)
+        finally:
+            index._infer_degrees_cached.cache_clear()
 
 
 class TestVerifySeriesIndex:

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taucycles.combinat import MultVec
+from taucycles import sheaves
+from taucycles.combinat import MultVec, partitions
 from taucycles.cycle_algebra import CycleSum, TauBasis, tau, unit
 from taucycles.divisors import Divisor
 from taucycles.errors import ArgumentError, ConsistencyError, PreconditionError
@@ -10,6 +11,7 @@ from taucycles.series import CycleSeries, series_one
 from taucycles.sheaves import (
     SheafDescriptor,
     _assert_match,
+    _merge_enumeration,
     pushforward_composition,
     pushforward_partition,
     s_constant_rank,
@@ -225,9 +227,25 @@ class TestPushforwards:
         assert pushforward_partition(lam) == expected
 
     def test_all_ones_matches_composition(self):
-        for n in range(5):
+        # 9 and 12 ones are past the enumeration cap, so only the fold runs
+        for n in (*range(5), 9, 12):
             ones = (1,) * n
             assert pushforward_partition(ones) == pushforward_composition(ones)
+
+    def test_fold_matches_merge_enumeration(self):
+        for n in range(11):
+            for lam in partitions(n):
+                if len(lam) <= 8:
+                    assert pushforward_partition(lam) == _merge_enumeration(lam)
+
+    def test_route_mismatch_raises(self, monkeypatch):
+        def off_by_one(parts):
+            return _merge_enumeration(parts) + tau()
+
+        monkeypatch.setattr(sheaves, "_merge_enumeration", off_by_one)
+        with pytest.raises(ConsistencyError, match="enumeration and factor product disagree"):
+            pushforward_partition((2, 1))
+        pushforward_partition((1,) * 9)  # past the cap the enumeration is not consulted
 
     def test_characteristic_guard(self):
         with pytest.raises(PreconditionError, match="characteristic 2"):
