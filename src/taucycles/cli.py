@@ -3,36 +3,21 @@
 Every subcommand prints deterministically: rerunning the same invocation
 gives byte-identical output.  JSON payloads carry a top-level schema tag.
 Exit codes: 0 success, 2 bad arguments, 3 violated hypothesis, 4 internal
-inconsistency.
+inconsistency.  A reader that closes stdout early, as ``| head`` does, ends
+the run with exit code 0 and nothing on stderr.
+
+Each subcommand imports the modules it calls when it runs, so a cold
+process loads only those (and ``json`` only for ``--format json``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .combinat import (
-    MultVec,
-    compositions,
-    compositions_fixed_length,
-    count_m,
-    gen_binomial,
-    partitions,
-)
-from .cycle_algebra import (
-    CycleSum,
-    basis_of_grade,
-    structure_constants,
-    structure_constants_oracle,
-    tau,
-    unit,
-)
-from .divisors import Divisor
 from .errors import (
     EXIT_ARGUMENT,
     EXIT_CONSISTENCY,
@@ -41,17 +26,15 @@ from .errors import (
     ConsistencyError,
     PreconditionError,
 )
-from .geometry import acyclicity, epsilon_report, n_f, singularity_certificate
-from .index import chi_sym_powers, index_check, index_matrix, infer_degrees
-from .series import CycleSeries, series_one
-from .sheaves import (
-    SheafDescriptor,
-    pushforward_composition,
-    pushforward_partition,
-    s_constant_rank,
-    s_skyscraper,
-    s_tame,
-)
+
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    from .combinat import MultVec
+    from .cycle_algebra import CycleSum
+    from .divisors import Divisor
+    from .series import CycleSeries
+    from .sheaves import SheafDescriptor
 
 SCHEMA = 1
 
@@ -80,6 +63,8 @@ def _resolve_max_degree(value: int | None) -> int:
 
 
 def _parse_sings(pairs: Sequence[str]) -> Divisor:
+    from .divisors import Divisor
+
     out: dict[str, int] = {}
     for item in pairs:
         name, sep, count_text = item.partition(":")
@@ -131,6 +116,8 @@ def _series_obj(series: CycleSeries) -> list[dict]:
 
 
 def _emit(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -139,6 +126,10 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
+    from .combinat import MultVec
+    from .cycle_algebra import tau, unit
+    from .divisors import Divisor
+
     deltas = args.delta or []
     es = args.e or []
     n_factors = max(len(deltas), len(es))
@@ -159,6 +150,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    from .sheaves import s_tame
+
     drops = _parse_sings(args.sing or [])
     max_degree = _resolve_max_degree(args.max_degree)
     series = s_tame(args.rank, drops, max_degree)
@@ -180,6 +173,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_mtable(args: argparse.Namespace) -> int:
+    from .index import index_matrix
+
     lams, matrix = index_matrix(args.n)
     if args.format == "json":
         _emit(
@@ -203,6 +198,8 @@ def _cmd_mtable(args: argparse.Namespace) -> int:
 
 
 def _cmd_strata(args: argparse.Namespace) -> int:
+    from .cycle_algebra import basis_of_grade
+
     points = [p for p in (args.points.split(",") if args.points else []) if p]
     basis = basis_of_grade(args.grade, points)
     if args.format == "json":
@@ -231,6 +228,8 @@ def _cmd_strata(args: argparse.Namespace) -> int:
 
 
 def _cmd_pushforward(args: argparse.Namespace) -> int:
+    from .sheaves import pushforward_composition, pushforward_partition
+
     if args.composition is not None and args.partition is not None:
         raise ArgumentError("give either --composition or --partition, not both")
     if args.composition is None and args.partition is None:
@@ -251,10 +250,15 @@ def _cmd_pushforward(args: argparse.Namespace) -> int:
 
 
 def _sheaf_from_args(args: argparse.Namespace) -> SheafDescriptor:
+    from .sheaves import SheafDescriptor
+
     return SheafDescriptor(args.rank, _parse_sings(args.sing or []))
 
 
 def _cmd_acyclicity(args: argparse.Namespace) -> int:
+    from .divisors import Divisor
+    from .geometry import acyclicity
+
     if args.n < 1:
         raise ArgumentError(f"the command line takes n >= 1, got {args.n}")
     sheaf = _sheaf_from_args(args)
@@ -286,6 +290,9 @@ def _cmd_acyclicity(args: argparse.Namespace) -> int:
 
 
 def _cmd_epsilon_report(args: argparse.Namespace) -> int:
+    from .divisors import Divisor
+    from .geometry import epsilon_report
+
     sheaf = _sheaf_from_args(args)
     omega = Divisor.parse(args.omega)
     report = epsilon_report(args.genus, sheaf, omega)
@@ -310,6 +317,9 @@ def _cmd_epsilon_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_index_degrees(args: argparse.Namespace) -> int:
+    from .combinat import partitions
+    from .index import infer_degrees
+
     degrees = infer_degrees(args.genus, args.n)
     lams = list(partitions(args.n))
     if args.format == "json":
@@ -339,6 +349,9 @@ def _ok(index: int, label: str) -> None:
 
 
 def _selftest_structure_constants() -> None:
+    from .combinat import MultVec, partitions
+    from .cycle_algebra import structure_constants, structure_constants_oracle
+
     vecs = [MultVec.from_partition(lam) for w in range(7) for lam in partitions(w)]
     for a in vecs:
         for b in vecs:
@@ -349,6 +362,8 @@ def _selftest_structure_constants() -> None:
 
 
 def _selftest_ring_axioms() -> None:
+    from .cycle_algebra import basis_of_grade, tau
+
     small = [
         tau(b.delta, b.e) for k in range(4) for b in basis_of_grade(k, ["s"])
     ]
@@ -364,6 +379,9 @@ def _selftest_ring_axioms() -> None:
 
 
 def _selftest_pushforward() -> None:
+    from .combinat import compositions
+    from .sheaves import pushforward_composition, pushforward_partition
+
     for n in range(1, 5):
         for mu in compositions(n):
             pushforward_composition(mu)  # self-asserting
@@ -372,16 +390,25 @@ def _selftest_pushforward() -> None:
 
 
 def _selftest_constant_rank() -> None:
+    from .sheaves import s_constant_rank
+
     for rank in (1, 2, 3):
         s_constant_rank(rank, 4)  # self-asserting
 
 
 def _selftest_tame() -> None:
+    from .divisors import Divisor
+    from .sheaves import s_tame
+
     s_tame(2, Divisor({"s": 1, "t": 1}), 4)
     s_tame(3, Divisor({"s": 2}), 4)
 
 
 def _selftest_direct_sum() -> None:
+    from .divisors import Divisor
+    from .series import series_one
+    from .sheaves import s_skyscraper, s_tame
+
     left = s_tame(1, Divisor({"s": 1}), 4) * s_tame(1, Divisor({"t": 1}), 4)
     if left != s_tame(2, Divisor({"s": 1, "t": 1}), 4):
         raise ConsistencyError("direct sum multiplicativity failed")
@@ -392,6 +419,11 @@ def _selftest_direct_sum() -> None:
 
 
 def _selftest_triangular() -> None:
+    import math
+
+    from .combinat import compositions_fixed_length, count_m, partitions
+    from .index import index_matrix
+
     for n in range(6):
         index_matrix(n)  # self-asserting
     for n in range(1, 5):
@@ -405,18 +437,20 @@ def _selftest_triangular() -> None:
                     raise ConsistencyError(f"row-sum identity failed for {lam}, r={r}")
 
 
-def _coeff_one_minus_t(power: int, n: int) -> int:
-    # [t^n] (1 - t)^power for an integer power of either sign
-    return (-1 if n % 2 else 1) * gen_binomial(power, n)
-
-
 def _selftest_index() -> None:
+    from .combinat import gen_binomial
+    from .divisors import Divisor
+    from .index import index_check, infer_degrees
+    from .sheaves import SheafDescriptor
+
     for genus in (0, 1, 2):
         for n in range(5):
             degrees = infer_degrees(genus, n)
             ones = tuple(1 for _ in range(n))
             sign = -1 if n % 2 else 1
-            if sign * degrees[ones] != _coeff_one_minus_t(2 * genus - 2, n):
+            # [t^n] (1 - t)^(2g-2), a power of either sign
+            coeff = sign * gen_binomial(2 * genus - 2, n)
+            if sign * degrees[ones] != coeff:
                 raise ConsistencyError(f"column anchor failed at genus {genus}, n {n}")
     index_check(0, SheafDescriptor(1, Divisor()), 4)
     index_check(1, SheafDescriptor(1, Divisor({"s": 1})), 4)
@@ -424,6 +458,11 @@ def _selftest_index() -> None:
 
 
 def _selftest_geometry() -> None:
+    from .combinat import MultVec
+    from .divisors import Divisor
+    from .geometry import n_f, singularity_certificate
+    from .sheaves import SheafDescriptor
+
     for genus in (0, 1, 2):
         for rank in (1, 2):
             drop_choices = {
@@ -450,6 +489,11 @@ def _selftest_geometry() -> None:
 
 
 def _selftest_rendering() -> None:
+    import json
+
+    from .divisors import Divisor
+    from .sheaves import s_tame
+
     first = s_tame(2, Divisor({"s": 1}), 3)
     second = s_tame(2, Divisor({"s": 1}), 3)
     if first.render() != second.render() or first.latex() != second.latex():
@@ -560,7 +604,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, which is not a failure of the run; with
+        # fd 1 on devnull the interpreter's final flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT

@@ -7,12 +7,10 @@ two sides meet again in the index module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .combinat import MultVec, partitions
 from .divisors import Divisor, subdivisors
 from .errors import ArgumentError, ConsistencyError, PreconditionError
-from .sheaves import SheafDescriptor
+from .sheaves import SheafDescriptor, _FrozenRecord
 
 __all__ = [
     "AcyclicityReport",
@@ -60,14 +58,19 @@ def k_f_label(sheaf: SheafDescriptor) -> str:
     return f"{sheaf.rank}·K_X + [{sheaf.drops.pretty()}]"
 
 
-@dataclass(frozen=True)
-class AcyclicityReport:
-    genus: int
-    n: int
-    n_f: int
-    verdict: str
-    k_f_label: str
-    critical_divisor: Divisor | None = None
+class AcyclicityReport(_FrozenRecord):
+    __slots__ = ("genus", "n", "n_f", "verdict", "k_f_label", "critical_divisor")
+
+    def __init__(
+        self,
+        genus: int,
+        n: int,
+        n_f: int,
+        verdict: str,
+        k_f_label: str,
+        critical_divisor: Divisor | None = None,
+    ) -> None:
+        self._fill(genus, n, n_f, verdict, k_f_label, critical_divisor)
 
 
 def acyclicity(
@@ -168,13 +171,18 @@ def critical_point(genus: int, sheaf: SheafDescriptor, omega: Divisor) -> Diviso
     return sheaf.drops + omega.scale(sheaf.rank)
 
 
-@dataclass(frozen=True)
-class EpsilonReport:
-    n: int
-    sign: int
-    critical_divisor: Divisor
-    k_f_label: str
-    sigma: tuple[str, ...] = field(default_factory=tuple)
+class EpsilonReport(_FrozenRecord):
+    __slots__ = ("n", "sign", "critical_divisor", "k_f_label", "sigma")
+
+    def __init__(
+        self,
+        n: int,
+        sign: int,
+        critical_divisor: Divisor,
+        k_f_label: str,
+        sigma: tuple[str, ...] = (),
+    ) -> None:
+        self._fill(n, sign, critical_divisor, k_f_label, sigma)
 
 
 def epsilon_report(genus: int, sheaf: SheafDescriptor, omega: Divisor) -> EpsilonReport:
@@ -200,13 +208,13 @@ def epsilon_report(genus: int, sheaf: SheafDescriptor, omega: Divisor) -> Epsilo
     )
 
 
-@dataclass(frozen=True)
-class RiemannRochReport:
-    genus: int
-    degree: int
-    chi_coh: int
-    h0_positive: bool
-    aj_smooth: bool
+class RiemannRochReport(_FrozenRecord):
+    __slots__ = ("genus", "degree", "chi_coh", "h0_positive", "aj_smooth")
+
+    def __init__(
+        self, genus: int, degree: int, chi_coh: int, h0_positive: bool, aj_smooth: bool
+    ) -> None:
+        self._fill(genus, degree, chi_coh, h0_positive, aj_smooth)
 
 
 def riemann_roch(genus: int, degree: int) -> RiemannRochReport:

@@ -12,13 +12,15 @@ shares no code with the count matrix.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .combinat import MultVec, _count_binary_matrices, conjugate, gen_binomial, partitions
 from .combinat import compositions  # noqa: F401 - perfbench/tracing.py resolves it by name
 from .errors import ArgumentError, ConsistencyError, exact_div
-from .geometry import sheaf_euler_characteristic
-from .series import CycleSeries
-from .sheaves import SheafDescriptor, s_tame
+
+if TYPE_CHECKING:
+    from .series import CycleSeries
+    from .sheaves import SheafDescriptor
 
 __all__ = [
     "chi_sym_powers",
@@ -160,6 +162,10 @@ def index_check(genus: int, sheaf: SheafDescriptor, max_degree: int) -> bool:
     the symmetric powers of the sheaf, and confirms they agree through
     the stratum degrees.
     """
+    # imported here so that the count-matrix commands load only combinat
+    from .geometry import sheaf_euler_characteristic
+    from .sheaves import s_tame
+
     series = s_tame(sheaf.rank, sheaf.drops, max_degree)
     chi = sheaf_euler_characteristic(genus, sheaf)
     return verify_series_index(series, chi_sym_powers(chi, max_degree), genus)

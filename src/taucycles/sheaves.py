@@ -9,7 +9,6 @@ identity, so the check is deliberately not optional.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinat import (
@@ -36,27 +35,63 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SheafDescriptor:
+class _FrozenRecord:
+    """Immutable record over ``__slots__``, read as its fields in order.
+
+    Equality, hash and repr follow the fields the way a frozen dataclass
+    does, and assignment raises AttributeError.  ``geometry`` builds its
+    reports on it too.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class SheafDescriptor(_FrozenRecord):
     """Tame sheaf datum: generic rank and the drop of invariants at each bad point.
 
     The drop at a point counts the vanishing cycles there and can never
     exceed the generic rank.
     """
 
-    rank: int
-    drops: Divisor
+    __slots__ = ("rank", "drops")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
-            raise ArgumentError(f"rank must be a positive integer, got {self.rank!r}")
-        if not isinstance(self.drops, Divisor):
+    def __init__(self, rank: int, drops: Divisor) -> None:
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+            raise ArgumentError(f"rank must be a positive integer, got {rank!r}")
+        if not isinstance(drops, Divisor):
             raise ArgumentError("drops must be a Divisor")
-        for name, a in self.drops.items():
-            if a > self.rank:
-                raise PreconditionError(
-                    f"drop {a} at point {name!r} exceeds the rank {self.rank}"
-                )
+        for name, a in drops.items():
+            if a > rank:
+                raise PreconditionError(f"drop {a} at point {name!r} exceeds the rank {rank}")
+        self._fill(rank, drops)
 
     def direct_sum(self, other: "SheafDescriptor") -> "SheafDescriptor":
         return SheafDescriptor(self.rank + other.rank, self.drops + other.drops)

@@ -330,14 +330,18 @@ class TestSelftestAndPlumbing:
         assert outputs[0] == outputs[1]
 
 
+def src_env() -> dict:
+    """The environment of a child process that imports this checkout's package."""
+    src = str(Path(taucycles.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_long_rank_one_series_exits_cleanly():
     # 990 nested partition levels used to overflow the recursion limit
-    src = str(Path(taucycles.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "taucycles", "series", "--rank", "1", "--max-degree", "990"],
         capture_output=True,
-        env=env,
+        env=src_env(),
         timeout=120,
     )
     assert proc.returncode == 0
@@ -349,14 +353,81 @@ def test_long_rank_one_series_exits_cleanly():
 
 def test_long_partition_pushforward_exits_cleanly():
     # 14 parts: Bell(14) set partitions, so only the fold route runs
-    src = str(Path(taucycles.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "taucycles", "pushforward", "--partition", ",".join(["1"] * 14)],
         capture_output=True,
-        env=env,
+        env=src_env(),
         timeout=20,
     )
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert proc.stdout.decode().endswith(" + tau[0; 14^1]\n")
+
+
+def test_closed_stdout_exits_zero_without_traceback():
+    # about 170 kB of output, well past a 64 kB pipe buffer, so the
+    # process is still writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "taucycles", "strata", "--grade", "24", "--points", "s"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=src_env(),
+    )
+    assert proc.stdout.readline().startswith(b"tau[0; ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert err == b""
+
+
+def new_modules(code: str) -> set[str]:
+    """Modules that ``code`` loads in a fresh interpreter on top of its start-up set."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=src_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return set(proc.stdout.decode().splitlines()[-1].split())
+
+
+HEAVY = {"dataclasses", "inspect", "json"}
+
+
+def test_cli_import_is_light():
+    loaded = new_modules("import taucycles.cli")
+    assert {m for m in loaded if m.startswith("taucycles.")} == {"taucycles.cli", "taucycles.errors"}
+    assert not loaded & HEAVY
+
+
+def test_package_import_loads_no_submodule():
+    loaded = new_modules("import taucycles")
+    assert {m for m in loaded if m.startswith("taucycles")} == {"taucycles"}
+    # a submodule attribute imports that submodule (and what it imports) only
+    loaded = new_modules("import taucycles\nassert taucycles.index.infer_degrees(0, 2)[(2,)] == -2")
+    assert {m for m in loaded if m.startswith("taucycles")} == {
+        "taucycles", "taucycles.combinat", "taucycles.errors", "taucycles.index"
+    }
+
+
+def test_strata_loads_only_the_algebra():
+    loaded = new_modules(
+        "from taucycles.cli import main\nmain(['strata', '--grade', '2', '--points', 's'])"
+    )
+    assert "taucycles.cycle_algebra" in loaded
+    for name in ("sheaves", "series", "geometry", "index"):
+        assert f"taucycles.{name}" not in loaded
+    assert not loaded & HEAVY
+
+
+def test_text_product_loads_no_json():
+    text = new_modules("from taucycles.cli import main\nmain(['product', '--e', '1^1', '--e', '1^1'])")
+    assert not text & HEAVY
+    loaded = new_modules(
+        "from taucycles.cli import main\nmain(['product', '--e', '1^1', '--format', 'json'])"
+    )
+    assert "json" in loaded

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,9 @@ from taucycles.combinat import MultVec
 from taucycles.divisors import Divisor
 from taucycles.errors import ArgumentError, ConsistencyError, PreconditionError
 from taucycles.geometry import (
+    AcyclicityReport,
+    EpsilonReport,
+    RiemannRochReport,
     acyclicity,
     critical_point,
     epsilon_report,
@@ -186,3 +192,79 @@ class TestRiemannRoch:
             assert rep.chi_coh >= genus
         if rep.h0_positive:
             assert rep.chi_coh >= 1
+
+
+def records():
+    """One instance of each frozen record, built by keyword, by position and by the library."""
+    return [
+        SheafDescriptor(rank=2, drops=Divisor({"s": 1, "t": 2})),
+        AcyclicityReport(2, 3, 4, "not_covered", "1·K_X + [s]"),
+        acyclicity(2, sheaf(1, {"s": 1}), 3, Divisor({"s": 2})),
+        epsilon_report(2, sheaf(1, {"s": 1}), Divisor({"s": 1, "t": 1})),
+        EpsilonReport(n=1, sign=1, critical_divisor=Divisor(), k_f_label="x"),
+        riemann_roch(2, 3),
+    ]
+
+
+class TestFrozenRecords:
+    # the repr text the frozen dataclasses printed, so the records keep it
+    REPRS = [
+        "SheafDescriptor(rank=2, drops=Divisor({'s': 1, 't': 2}))",
+        "AcyclicityReport(genus=2, n=3, n_f=4, verdict='not_covered', "
+        "k_f_label='1·K_X + [s]', critical_divisor=None)",
+        "AcyclicityReport(genus=2, n=3, n_f=3, verdict='acyclic_off_KF', "
+        "k_f_label='1·K_X + [s]', critical_divisor=Divisor({'s': 3}))",
+        "EpsilonReport(n=3, sign=-1, critical_divisor=Divisor({'s': 2, 't': 1}), "
+        "k_f_label='1·K_X + [s]', sigma=('s', 't'))",
+        "EpsilonReport(n=1, sign=1, critical_divisor=Divisor({}), k_f_label='x', sigma=())",
+        "RiemannRochReport(genus=2, degree=3, chi_coh=2, h0_positive=True, aj_smooth=True)",
+    ]
+
+    def test_repr(self):
+        assert [repr(r) for r in records()] == self.REPRS
+
+    def test_equal_records_hash_alike(self):
+        for a, b in zip(records(), records()):
+            assert a is not b
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_fields_decide_equality(self):
+        assert AcyclicityReport(2, 3, 4, "v", "k") != AcyclicityReport(2, 3, 4, "v", "k", Divisor())
+        assert riemann_roch(2, 3) != riemann_roch(2, 4)
+        assert sheaf(1, {"s": 1}) != sheaf(2, {"s": 1})
+
+    def test_classes_never_compare_equal(self):
+        items = records()
+        for i, a in enumerate(items):
+            for b in items[i + 1:]:
+                if type(a) is not type(b):
+                    assert a != b
+        assert sheaf(1) != (1, Divisor())
+
+    def test_defaults(self):
+        assert AcyclicityReport(0, 1, 2, "v", "k").critical_divisor is None
+        assert EpsilonReport(1, 1, Divisor(), "k").sigma == ()
+
+    FIELDS = {
+        SheafDescriptor: ("rank", "drops"),
+        AcyclicityReport: ("genus", "n", "n_f", "verdict", "k_f_label", "critical_divisor"),
+        EpsilonReport: ("n", "sign", "critical_divisor", "k_f_label", "sigma"),
+        RiemannRochReport: ("genus", "degree", "chi_coh", "h0_positive", "aj_smooth"),
+    }
+
+    def test_assignment_raises(self):
+        for record in records():
+            for name in self.FIELDS[type(record)]:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.extra = 0
+
+    def test_copy_and_pickle(self):
+        for record in records():
+            assert copy.copy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record

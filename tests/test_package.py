@@ -1,0 +1,33 @@
+import sys
+
+import pytest
+
+import taucycles
+
+
+def test_every_public_name_is_its_module_attribute():
+    for name in taucycles.__all__:
+        value = getattr(taucycles, name)
+        if name == "__version__":
+            continue
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("taucycles.")
+        assert getattr(home, name) is value
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from taucycles import *", namespace)
+    for name in taucycles.__all__:
+        assert namespace[name] is getattr(taucycles, name)
+
+
+def test_dir_lists_the_public_names():
+    assert set(dir(taucycles)) >= set(taucycles.__all__)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        taucycles.no_such_name
+    assert not hasattr(taucycles, "no_such_name")
+

@@ -26,10 +26,13 @@ small_mults = st.dictionaries(points, st.integers(1, 2), max_size=2).map(Divisor
 
 class TestDescriptor:
     def test_rank_validation(self):
-        with pytest.raises(ArgumentError):
-            SheafDescriptor(0, Divisor())
-        with pytest.raises(ArgumentError):
-            SheafDescriptor(-1, Divisor())
+        for rank in (0, -1, True, 1.0, "1"):
+            with pytest.raises(ArgumentError, match="rank must be a positive integer"):
+                SheafDescriptor(rank, Divisor())
+
+    def test_drops_must_be_a_divisor(self):
+        with pytest.raises(ArgumentError, match="drops must be a Divisor"):
+            SheafDescriptor(1, {"s": 1})
 
     def test_drop_bound(self):
         with pytest.raises(PreconditionError):
