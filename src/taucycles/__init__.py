@@ -1,7 +1,8 @@
 """Exact arithmetic in the graded algebra of basic cycles on symmetric powers of a curve.
 
 The package has three layers.  ``combinat`` and ``divisors`` hold the raw
-counting and bookkeeping.  ``cycle_algebra`` and ``series`` implement the
+counting and bookkeeping, and ``records`` the sheaf descriptor that both
+sides take.  ``cycle_algebra`` and ``series`` implement the
 ring of cycles and its truncated generating series; ``sheaves`` builds
 the series attached to tame constructible sheaves, always through two
 independent routes that must agree.  ``geometry`` and ``index`` carry the
@@ -62,9 +63,9 @@ _EXPORTS = {
         "infer_degrees",
         "verify_series_index",
     ),
+    "records": ("SheafDescriptor",),
     "series": ("CycleSeries", "series_one"),
     "sheaves": (
-        "SheafDescriptor",
         "pushforward_composition",
         "pushforward_partition",
         "s_constant_rank",

@@ -34,9 +34,14 @@ if TYPE_CHECKING:
     from .cycle_algebra import CycleSum
     from .divisors import Divisor
     from .series import CycleSeries
-    from .sheaves import SheafDescriptor
+    from .records import SheafDescriptor
 
 SCHEMA = 1
+
+# The largest --n of mtable and index-degrees.  Both build the count matrix,
+# whose side is the number of partitions of n; cold, n = 20 (627 partitions)
+# took 12 s and 87 MB, and each step up about doubles both.
+MAX_TABLE_N = 20
 
 __all__ = ["main", "build_parser"]
 
@@ -80,6 +85,11 @@ def _parse_sings(pairs: Sequence[str]) -> Divisor:
             raise ArgumentError(f"point {name!r} listed twice")
         out[name] = count
     return Divisor(out)
+
+
+def _check_table_n(n: int) -> None:
+    if n > MAX_TABLE_N:
+        raise PreconditionError(f"--n {n} is above the limit of {MAX_TABLE_N} for this command")
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -173,6 +183,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_mtable(args: argparse.Namespace) -> int:
+    _check_table_n(args.n)
     from .index import index_matrix
 
     lams, matrix = index_matrix(args.n)
@@ -250,7 +261,7 @@ def _cmd_pushforward(args: argparse.Namespace) -> int:
 
 
 def _sheaf_from_args(args: argparse.Namespace) -> SheafDescriptor:
-    from .sheaves import SheafDescriptor
+    from .records import SheafDescriptor
 
     return SheafDescriptor(args.rank, _parse_sings(args.sing or []))
 
@@ -317,6 +328,7 @@ def _cmd_epsilon_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_index_degrees(args: argparse.Namespace) -> int:
+    _check_table_n(args.n)
     from .combinat import partitions
     from .index import infer_degrees
 
@@ -441,7 +453,7 @@ def _selftest_index() -> None:
     from .combinat import gen_binomial
     from .divisors import Divisor
     from .index import index_check, infer_degrees
-    from .sheaves import SheafDescriptor
+    from .records import SheafDescriptor
 
     for genus in (0, 1, 2):
         for n in range(5):
@@ -461,7 +473,7 @@ def _selftest_geometry() -> None:
     from .combinat import MultVec
     from .divisors import Divisor
     from .geometry import n_f, singularity_certificate
-    from .sheaves import SheafDescriptor
+    from .records import SheafDescriptor
 
     for genus in (0, 1, 2):
         for rank in (1, 2):

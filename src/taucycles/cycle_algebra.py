@@ -6,8 +6,14 @@ plus the weight of ``e``.  Products expand through exact integer structure
 constants that count admissible ways of merging point clusters.  Two
 independent routes to those constants are kept side by side:
 
-* a closed count over matching matrices, used everywhere, and
+* a count over matching matrices, used everywhere: a walk that fills the
+  matrix cell by cell and updates the number of ways and the merged part
+  sizes as each entry is chosen, and
 * a brute-force enumeration of set partitions, kept as an oracle.
+
+Products work on plain tuples: the terms of each factor are grouped by
+divisor, and the result accumulates on divisor items, then on the items of
+each output vector, before its objects are built once per term.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 
 from .combinat import MultVec, partitions, set_partitions
-from .divisors import Divisor
+from .divisors import Divisor, _sum_items
 from .errors import ArgumentError, exact_div
 
 __all__ = [
@@ -200,8 +206,8 @@ class CycleSum:
             return self.scale(other)
         if not isinstance(other, CycleSum):
             return NotImplemented
-        acc: dict[tuple[Divisor, MultVec], int] = {}
-        _accumulate_product(acc, self._terms, other._terms)
+        acc: dict = {}
+        _accumulate_product(acc, _grouped(self._terms), _grouped(other._terms))
         return _from_raw(acc)
 
     def __pow__(self, k: int) -> "CycleSum":
@@ -266,31 +272,46 @@ def _sorted_terms(merged: dict[TauBasis, int]) -> tuple[tuple[TauBasis, int], ..
     return tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
 
 
-def _accumulate_product(
-    acc: dict[tuple[Divisor, MultVec], int],
-    left: tuple[tuple[TauBasis, int], ...],
-    right: tuple[tuple[TauBasis, int], ...],
-) -> None:
-    """Add the product of two term tuples into ``acc``, keyed on raw ``(delta, f)`` pairs."""
-    get = acc.get
-    for b1, c1 in left:
-        d1 = b1.delta
-        a = b1.e.items()
-        for b2, c2 in right:
-            delta = d1 + b2.delta
-            b = b2.e.items()
-            c = c1 * c2
-            for f, n in _structure_constants_items(a, b) if a <= b else _structure_constants_items(b, a):
-                key = (delta, f)
-                acc[key] = get(key, 0) + c * n
+def _grouped(terms: tuple[tuple[TauBasis, int], ...]) -> list:
+    """Sorted terms as ``(delta items, [(e items, coeff), ...])`` runs, one per divisor."""
+    out: list = []
+    last = None
+    for b, c in terms:
+        delta = b.delta.items()
+        if delta != last:
+            group: list = []
+            out.append((delta, group))
+            last = delta
+        group.append((b.e.items(), c))
+    return out
 
 
-def _from_raw(acc: dict[tuple[Divisor, MultVec], int]) -> CycleSum:
-    """The sum of ``c * tau[delta; f]`` over ``acc``, one basis per nonzero term."""
+def _accumulate_product(acc: dict, left: list, right: list) -> None:
+    """Add the product of two grouped term lists into ``acc``: delta items -> f items -> coeff."""
+    constants = _structure_constants_items
+    for d1, group1 in left:
+        for d2, group2 in right:
+            delta = _sum_items(d1, d2)
+            sub = acc.get(delta)
+            if sub is None:
+                sub = acc[delta] = {}
+            get = sub.get
+            for a, c1 in group1:
+                for b, c2 in group2:
+                    c = c1 * c2
+                    for f, n in constants(a, b) if a <= b else constants(b, a):
+                        sub[f] = get(f, 0) + c * n
+
+
+def _from_raw(acc: dict) -> CycleSum:
+    """The sum of ``c * tau[delta; f]`` over ``acc``, one Divisor per distinct delta."""
+    terms = []
     new = TauBasis._trusted
-    return CycleSum._trusted(
-        _sorted_terms({new(delta, f): c for (delta, f), c in acc.items() if c})
-    )
+    for delta in sorted(map(Divisor._trusted, acc), key=Divisor.canonical_text):
+        for f, c in sorted(acc[delta.items()].items()):
+            if c:
+                terms.append((new(delta, MultVec._trusted(f)), c))
+    return CycleSum._trusted(tuple(terms))
 
 
 def tau(delta: Divisor | None = None, e: MultVec | None = None, coeff: int = 1) -> CycleSum:
@@ -313,77 +334,56 @@ def unit() -> CycleSum:
 # structure constants, closed route
 
 
-def _capped_row(caps: tuple[int, ...], budget: int) -> Iterator[tuple[int, ...]]:
-    # rows of a matching matrix: entries bounded by nothing individually,
-    # but their sum is bounded by the row budget; caps bound colwise totals
-    if not caps:
-        yield ()
-        return
-    for k in range(min(caps[0], budget) + 1):
-        for rest in _capped_row(caps[1:], budget - k):
-            yield (k,) + rest
-
-
-def _matching_matrices(
-    row_budgets: tuple[int, ...], col_budgets: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not row_budgets:
-        yield ()
-        return
-    for row in _capped_row(col_budgets, row_budgets[0]):
-        remaining = tuple(c - r for c, r in zip(col_budgets, row))
-        for rest in _matching_matrices(row_budgets[1:], remaining):
-            yield (row,) + rest
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 @lru_cache(maxsize=None)
 def _structure_constants_items(
     e_items: tuple[tuple[int, int], ...], f_items: tuple[tuple[int, int], ...]
-) -> tuple[tuple[MultVec, int], ...]:
-    # keyed on the items of both vectors, smaller first: the product is symmetric
-    e = MultVec._trusted(e_items)
-    ep = MultVec._trusted(f_items)
-    sizes_a = e.support
-    sizes_b = ep.support
-    caps_a = tuple(e.count(s) for s in sizes_a)
-    caps_b = tuple(ep.count(s) for s in sizes_b)
-    numerators: dict[MultVec, int] = {}
-    for m in _matching_matrices(caps_a, caps_b):
-        row_sums = tuple(sum(row) for row in m)
-        col_sums = tuple(sum(row[j] for row in m) for j in range(len(sizes_b)))
-        out_counts: dict[int, int] = {}
-        for s, cap, used in zip(sizes_a, caps_a, row_sums):
-            if cap - used:
-                out_counts[s] = out_counts.get(s, 0) + cap - used
-        for s, cap, used in zip(sizes_b, caps_b, col_sums):
-            if cap - used:
-                out_counts[s] = out_counts.get(s, 0) + cap - used
-        for i, si in enumerate(sizes_a):
-            for j, sj in enumerate(sizes_b):
-                if m[i][j]:
-                    out_counts[si + sj] = out_counts.get(si + sj, 0) + m[i][j]
-        matchings = 1
-        for cap, used in zip(caps_a, row_sums):
-            matchings *= _falling(cap, used)
-        for cap, used in zip(caps_b, col_sums):
-            matchings *= _falling(cap, used)
-        denom = 1
-        for row in m:
-            for entry in row:
-                denom *= math.factorial(entry)
-        f = MultVec._trusted(tuple(sorted(out_counts.items())))
-        numerators[f] = numerators.get(f, 0) + exact_div(matchings, denom)
-    scale = e.factorial_product() * ep.factorial_product()
+) -> tuple:
+    # the (f items, N) pairs, keyed on the items of both vectors, smaller first: the
+    # product is symmetric.  Entry k at cell (i, j) of a matching matrix merges k
+    # of the r clusters still free in row i with k of the c still free in column
+    # j, in binom(r, k) * c!/(c-k)! ways, and adds k parts of size s_i + s_j
+    rows = [s for s, _ in e_items]
+    caps = [c for _, c in e_items] + [0]
+    cols = [s for s, _ in f_items]
+    free = [c for _, c in f_items]
+    counts = [0] * (max(rows, default=0) + max(cols, default=0) + 1)  # output parts by size
+    na, nb = len(rows), len(cols)
+    numerators: dict[tuple[tuple[int, int], ...], int] = {}
+
+    def walk(i: int, j: int, r: int, w: int) -> None:
+        if i == na:  # the clusters of f left in each column stay as they are
+            for s, c in zip(cols, free):
+                counts[s] += c
+            f = tuple((s, c) for s, c in enumerate(counts) if c)
+            numerators[f] = numerators.get(f, 0) + w
+            for s, c in zip(cols, free):
+                counts[s] -= c
+        elif j == nb or not r:  # so do the r clusters of e left in row i
+            counts[rows[i]] += r
+            walk(i + 1, 0, caps[i + 1], w)
+            counts[rows[i]] -= r
+        else:
+            c, size = free[j], rows[i] + cols[j]
+            base = counts[size]
+            for k in range(min(r, c) + 1):
+                if k:
+                    w = w * (r - k + 1) * (c - k + 1) // k
+                free[j], counts[size] = c - k, base + k
+                walk(i, j + 1, r - k, w)
+            free[j], counts[size] = c, base
+
+    walk(0, 0, caps[0], 1)
+    scale = _factorial_product(e_items) * _factorial_product(f_items)
     return tuple(
-        (f, exact_div(f.factorial_product() * raw, scale)) for f, raw in sorted(numerators.items())
+        (f, exact_div(_factorial_product(f) * raw, scale)) for f, raw in sorted(numerators.items())
     )
+
+
+def _factorial_product(items: tuple[tuple[int, int], ...]) -> int:
+    out = 1
+    for _, c in items:
+        out *= math.factorial(c)
+    return out
 
 
 def structure_constants(e: MultVec, e_prime: MultVec) -> dict[MultVec, int]:
@@ -399,7 +399,7 @@ def structure_constants(e: MultVec, e_prime: MultVec) -> dict[MultVec, int]:
     a, b = e.items(), e_prime.items()
     if a > b:
         a, b = b, a
-    return dict(_structure_constants_items(a, b))
+    return {MultVec._trusted(f): n for f, n in _structure_constants_items(a, b)}
 
 
 # ---------------------------------------------------------------------------

@@ -134,10 +134,7 @@ class Divisor:
             return self
         if not self._items:
             return other
-        merged = dict(self._items)
-        for n, c in other._items:
-            merged[n] = merged.get(n, 0) + c
-        return Divisor._trusted(tuple(sorted(merged.items())))
+        return Divisor._trusted(_sum_items(self._items, other._items))
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         """Difference, defined only when ``other <= self`` pointwise."""
@@ -187,6 +184,18 @@ class Divisor:
 
     def __repr__(self) -> str:
         return f"Divisor({dict(self._items)!r})"
+
+
+def _sum_items(x: tuple[tuple[str, int], ...], y: tuple[tuple[str, int], ...]) -> tuple:
+    """Pointwise sum of two divisors given by their sorted items."""
+    if not y:
+        return x
+    if not x:
+        return y
+    merged = dict(x)
+    for n, c in y:
+        merged[n] = merged.get(n, 0) + c
+    return tuple(sorted(merged.items()))
 
 
 def subdivisors(d: Divisor) -> Iterator[Divisor]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .combinat import MultVec, partitions
 from .divisors import Divisor, subdivisors
 from .errors import ArgumentError, ConsistencyError, PreconditionError
-from .sheaves import SheafDescriptor, _FrozenRecord
+from .records import SheafDescriptor, _FrozenRecord
 
 __all__ = [
     "AcyclicityReport",

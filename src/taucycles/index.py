@@ -20,7 +20,7 @@ from .errors import ArgumentError, ConsistencyError, exact_div
 
 if TYPE_CHECKING:
     from .series import CycleSeries
-    from .sheaves import SheafDescriptor
+    from .records import SheafDescriptor
 
 __all__ = [
     "chi_sym_powers",

@@ -3,17 +3,20 @@
 A series of order ``N`` stores one homogeneous cycle sum per degree
 ``0..N``.  The degree-``n`` coefficient may only contain basis cycles of
 grade ``n``; mixing grades inside one coefficient is rejected outright.
-Multiplication is the Cauchy product truncated at ``N``.
+Multiplication is the Cauchy product truncated at ``N``.  The inverse of
+a series ``A`` with ``A_0 = 1`` is the power-series reciprocal, one pass
+of the recurrence ``B_0 = 1``, ``B_k = -sum_{i=1..k} A_i B_{k-i}`` (Knuth,
+TAOCP vol. 2, 4.7): about the work of one Cauchy product.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .cycle_algebra import CycleSum, _accumulate_product, _from_raw, unit
+from .cycle_algebra import CycleSum, _accumulate_product, _from_raw, _grouped, unit
 from .errors import ArgumentError
 
-__all__ = ["CycleSeries", "series_one", "series_geometric_inverse"]
+__all__ = ["CycleSeries", "series_one", "series_inverse"]
 
 
 class CycleSeries:
@@ -86,8 +89,8 @@ class CycleSeries:
         if not isinstance(other, CycleSeries):
             return NotImplemented
         self._check_same_order(other)
-        left = [c.terms() for c in self._coeffs]
-        right = [c.terms() for c in other._coeffs]
+        left = [_grouped(c.terms()) for c in self._coeffs]
+        right = left if other is self else [_grouped(c.terms()) for c in other._coeffs]
         out = []
         for k in range(self.max_degree + 1):
             acc: dict = {}
@@ -110,7 +113,7 @@ class CycleSeries:
         return out
 
     def inverse(self) -> "CycleSeries":
-        return series_geometric_inverse(self)
+        return series_inverse(self)
 
     def render(self) -> str:
         """One line per degree, bottom degree first."""
@@ -141,19 +144,18 @@ def series_one(max_degree: int) -> CycleSeries:
     return CycleSeries._trusted((unit(),) + (CycleSum.zero(),) * max_degree)
 
 
-def series_geometric_inverse(series: CycleSeries) -> CycleSeries:
-    """Inverse of a series with constant coefficient one.
-
-    Writes the series as 1 - T with T supported in positive degrees and
-    sums the geometric series in T, truncated at the stored order.
-    """
+def series_inverse(series: CycleSeries) -> CycleSeries:
+    """Inverse of a series with constant coefficient one, truncated at its order."""
     if series.coefficient(0) != unit():
         raise ArgumentError("only series with constant coefficient 1 are invertible here")
-    n = series.max_degree
-    t = series_one(n) - series
-    out = series_one(n)
-    power = series_one(n)
-    for _ in range(n):
-        power = power * t
-        out = out + power
-    return out
+    a = [_grouped(c.terms()) for c in series.coefficients()]
+    b = [a[0]]
+    out = [unit()]
+    for k in range(1, len(a)):
+        acc: dict = {}
+        for i in range(1, k + 1):
+            if a[i] and b[k - i]:
+                _accumulate_product(acc, a[i], b[k - i])
+        out.append(-_from_raw(acc))
+        b.append(_grouped(out[k].terms()))
+    return CycleSeries._trusted(tuple(out))

@@ -22,7 +22,8 @@ from .combinat import (
 )
 from .divisors import Divisor, divisor_binomial, subdivisors
 from .errors import ArgumentError, ConsistencyError, PreconditionError
-from .cycle_algebra import CycleSum, TauBasis, tau
+from .cycle_algebra import CycleSum, TauBasis, _sorted_terms, tau
+from .records import SheafDescriptor
 from .series import CycleSeries, series_one
 
 __all__ = [
@@ -33,71 +34,6 @@ __all__ = [
     "pushforward_composition",
     "pushforward_partition",
 ]
-
-
-class _FrozenRecord:
-    """Immutable record over ``__slots__``, read as its fields in order.
-
-    Equality, hash and repr follow the fields the way a frozen dataclass
-    does, and assignment raises AttributeError.  ``geometry`` builds its
-    reports on it too.
-    """
-
-    __slots__ = ()
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class SheafDescriptor(_FrozenRecord):
-    """Tame sheaf datum: generic rank and the drop of invariants at each bad point.
-
-    The drop at a point counts the vanishing cycles there and can never
-    exceed the generic rank.
-    """
-
-    __slots__ = ("rank", "drops")
-
-    def __init__(self, rank: int, drops: Divisor) -> None:
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-            raise ArgumentError(f"rank must be a positive integer, got {rank!r}")
-        if not isinstance(drops, Divisor):
-            raise ArgumentError("drops must be a Divisor")
-        for name, a in drops.items():
-            if a > rank:
-                raise PreconditionError(f"drop {a} at point {name!r} exceeds the rank {rank}")
-        self._fill(rank, drops)
-
-    def direct_sum(self, other: "SheafDescriptor") -> "SheafDescriptor":
-        return SheafDescriptor(self.rank + other.rank, self.drops + other.drops)
-
-    def series(self, max_degree: int) -> CycleSeries:
-        return s_tame(self.rank, self.drops, max_degree)
 
 
 def _check_order(max_degree: int) -> None:
@@ -124,19 +60,25 @@ def _point_linear_factor(name: str, max_degree: int) -> CycleSeries:
     return CycleSeries(coeffs)
 
 
-def _constant_rank_closed(rank: int, max_degree: int) -> CycleSeries:
-    coeffs = []
+def _shape_weights(rank: int, max_degree: int) -> list[list[tuple[MultVec, int]]]:
+    # by weight n <= max_degree, every e with parts at most the rank, sorted,
+    # and its weight prod_i binom(rank, i)^{e_i}
+    out = []
     for n in range(max_degree + 1):
-        sign = -1 if n % 2 else 1
-        acc: dict[TauBasis, int] = {}
+        shapes = []
         for lam in partitions(n, max_part=rank):
             e = MultVec.from_partition(lam)
             weight = 1
             for size, count in e.items():
                 weight *= math.comb(rank, size) ** count
-            acc[TauBasis(Divisor(), e)] = sign * weight
-        coeffs.append(CycleSum(acc))
-    return CycleSeries(coeffs)
+            shapes.append((e, weight))
+        out.append(sorted(shapes, key=lambda pair: pair[0].items()))
+    return out
+
+
+def _constant_rank_closed(rank: int, max_degree: int) -> CycleSeries:
+    # the tame closed form without drops
+    return _tame_closed(rank, Divisor(), max_degree)
 
 
 @lru_cache(maxsize=None)
@@ -160,32 +102,28 @@ def s_constant_rank(rank: int, max_degree: int) -> CycleSeries:
     return _constant_rank_verified(rank, max_degree)
 
 
-def _supported_divisors(names: tuple[str, ...], degree: int) -> list[Divisor]:
-    out = []
-    for comp in compositions_fixed_length(degree, len(names)):
-        out.append(Divisor({n: c for n, c in zip(names, comp) if c}))
-    return out
-
-
 def _skyscraper_closed(multiplicities: Divisor, shifted: bool, max_degree: int) -> CycleSeries:
     # the unshifted series is an inverse, so it is supported on divisors of
     # arbitrarily large coefficient; the shifted binomials vanish past the caps
     names = multiplicities.support
+    factors = [
+        [math.comb(m, k) if shifted else gen_binomial(-m, k) for k in range(max_degree + 1)]
+        for _, m in multiplicities.items()
+    ]
+    empty = MultVec()
     coeffs = []
     for n in range(max_degree + 1):
         acc: dict[TauBasis, int] = {}
         sign = -1 if n % 2 else 1
-        for d in _supported_divisors(names, n):
-            if shifted:
-                c = sign * divisor_binomial(multiplicities, d)
-            else:
-                c = sign
-                for name, k in d.items():
-                    c *= gen_binomial(-multiplicities.coeff(name), k)
+        for comp in compositions_fixed_length(n, len(names)):
+            c = sign
+            for row, k in zip(factors, comp):
+                c *= row[k]
             if c:
-                acc[TauBasis(d, MultVec())] = c
-        coeffs.append(CycleSum(acc))
-    return CycleSeries(coeffs)
+                d = Divisor._trusted(tuple((name, k) for name, k in zip(names, comp) if k))
+                acc[TauBasis._trusted(d, empty)] = c
+        coeffs.append(CycleSum._trusted(_sorted_terms(acc)))
+    return CycleSeries._trusted(tuple(coeffs))
 
 
 def s_skyscraper(multiplicities: Divisor, shifted: bool, max_degree: int) -> CycleSeries:
@@ -209,26 +147,20 @@ def s_skyscraper(multiplicities: Divisor, shifted: bool, max_degree: int) -> Cyc
 
 
 def _tame_closed(rank: int, drops: Divisor, max_degree: int) -> CycleSeries:
-    by_degree: dict[int, list[Divisor]] = {}
-    for d in subdivisors(drops):
-        by_degree.setdefault(d.degree, []).append(d)
+    shapes = _shape_weights(rank, max_degree)
+    # divisors in text order and shapes in item order give the terms in CycleSum order
+    bounded = sorted(subdivisors(drops), key=Divisor.canonical_text)
+    divisors = [(d, d.degree, divisor_binomial(drops, d)) for d in bounded]
+    new = TauBasis._trusted
     coeffs = []
     for n in range(max_degree + 1):
         sign = -1 if n % 2 else 1
-        acc: dict[TauBasis, int] = {}
-        for dd in range(min(n, drops.degree) + 1):
-            for d in by_degree.get(dd, ()):
-                base = divisor_binomial(drops, d)
-                if not base:
-                    continue
-                for lam in partitions(n - dd, max_part=rank):
-                    e = MultVec.from_partition(lam)
-                    weight = base
-                    for size, count in e.items():
-                        weight *= math.comb(rank, size) ** count
-                    acc[TauBasis(d, e)] = sign * weight
-        coeffs.append(CycleSum(acc))
-    return CycleSeries(coeffs)
+        coeffs.append(CycleSum._trusted(tuple(
+            (new(d, e), sign * base * weight)
+            for d, degree, base in divisors if degree <= n
+            for e, weight in shapes[n - degree]
+        )))
+    return CycleSeries._trusted(tuple(coeffs))
 
 
 def s_tame(rank: int, drops: Divisor, max_degree: int) -> CycleSeries:

@@ -431,3 +431,49 @@ def test_text_product_loads_no_json():
         "from taucycles.cli import main\nmain(['product', '--e', '1^1', '--format', 'json'])"
     )
     assert "json" in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "['acyclicity', '--genus', '2', '--rank', '1', '--sing', 's:1', '--n', '3']",
+        "['epsilon-report', '--genus', '2', '--rank', '1', '--sing', 's:1', '--omega', '2*s']",
+    ],
+)
+def test_curve_numerology_loads_no_series_code(argv):
+    loaded = new_modules(f"from taucycles.cli import main\nmain({argv})")
+    assert {m for m in loaded if m.startswith("taucycles.")} == {
+        "taucycles.cli", "taucycles.combinat", "taucycles.divisors", "taucycles.errors",
+        "taucycles.geometry", "taucycles.records",
+    }
+    assert not loaded & HEAVY
+
+
+def test_sheaf_descriptor_keeps_its_old_home():
+    from taucycles import records, sheaves
+
+    assert sheaves.SheafDescriptor is records.SheafDescriptor is taucycles.SheafDescriptor
+
+
+@pytest.mark.parametrize("command", [["mtable"], ["index-degrees", "--genus", "2"]])
+@pytest.mark.parametrize("n", [30, 60])
+def test_table_size_limit_refuses_before_any_work(command, n):
+    proc = subprocess.run(
+        [sys.executable, "-m", "taucycles", *command, "--n", str(n)],
+        capture_output=True,
+        env=src_env(),
+        timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"error: --n {n} is above the limit of 20 for this command\n"
+
+
+def test_table_size_limit_is_inclusive(capsys, monkeypatch):
+    import taucycles.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_TABLE_N", 3)
+    assert run(capsys, "mtable", "--n", "3")[0] == 0
+    assert run(capsys, "index-degrees", "--genus", "0", "--n", "3")[0] == 0
+    assert run(capsys, "mtable", "--n", "4")[0] == 3
+    assert run(capsys, "index-degrees", "--genus", "0", "--n", "4")[0] == 3

@@ -6,20 +6,23 @@ that path with answers assembled only from public, validating constructors.
 """
 
 import itertools
+import math
 
 import pytest
 
-from taucycles.combinat import MultVec
+from taucycles import cli, cycle_algebra, sheaves
+from taucycles.combinat import MultVec, partitions
 from taucycles.cycle_algebra import (
     CycleSum,
     TauBasis,
+    _structure_constants_items,
     basis_of_grade,
     structure_constants,
     structure_constants_oracle,
     tau,
 )
 from taucycles.divisors import Divisor
-from taucycles.errors import ArgumentError
+from taucycles.errors import ArgumentError, ConsistencyError
 from taucycles.series import CycleSeries
 from taucycles.sheaves import s_skyscraper, s_tame
 
@@ -102,3 +105,75 @@ def test_structure_constants_returns_a_fresh_dict():
     first = structure_constants(e, e)
     first.clear()
     assert structure_constants(e, e) == {MultVec({1: 2}): 2, MultVec({2: 1}): 1}
+
+
+def _matrices(row_caps, col_caps):
+    """Every nonnegative integer matrix with row sums and column sums bounded by the caps."""
+    if not row_caps:
+        yield ()
+        return
+    for row in itertools.product(*(range(c + 1) for c in col_caps)):
+        if sum(row) <= row_caps[0]:
+            rest_caps = tuple(c - r for c, r in zip(col_caps, row))
+            for rest in _matrices(row_caps[1:], rest_caps):
+                yield (row,) + rest
+
+
+def _constants_by_whole_matrices(a, b):
+    """The structure constants from each matching matrix as a whole, the pre-walk route."""
+    sizes_a, caps_a = [s for s, _ in a], [c for _, c in a]
+    sizes_b, caps_b = [s for s, _ in b], [c for _, c in b]
+    numerators = {}
+    for m in _matrices(tuple(caps_a), tuple(caps_b)):
+        rows = [sum(row) for row in m]
+        cols = [sum(col) for col in zip(*m)] if m else [0] * len(caps_b)
+        out = {}
+        for sizes, caps, used in ((sizes_a, caps_a, rows), (sizes_b, caps_b, cols)):
+            for size, cap, u in zip(sizes, caps, used):
+                out[size] = out.get(size, 0) + cap - u
+        for i, j in itertools.product(range(len(sizes_a)), range(len(sizes_b))):
+            out[sizes_a[i] + sizes_b[j]] = out.get(sizes_a[i] + sizes_b[j], 0) + m[i][j]
+        ways = 1
+        for cap, u in zip(caps_a + caps_b, rows + cols):
+            ways *= math.perm(cap, u)
+        for entry in itertools.chain.from_iterable(m):
+            ways //= math.factorial(entry)
+        f = tuple(sorted((s, c) for s, c in out.items() if c))
+        numerators[f] = numerators.get(f, 0) + ways
+    scale = math.prod(math.factorial(c) for _, c in a + b)
+    return tuple(
+        (f, math.prod(math.factorial(c) for _, c in f) * n // scale)
+        for f, n in sorted(numerators.items())
+    )
+
+
+def test_cell_walk_matches_whole_matrices_through_weight_8():
+    vecs = [MultVec.from_partition(lam).items() for w in range(9) for lam in partitions(w)]
+    pairs = [(a, b) for a, b in itertools.product(vecs, repeat=2) if a <= b]
+    for a, b in pairs:
+        assert _structure_constants_items(a, b) == _constants_by_whole_matrices(a, b), (a, b)
+    assert len(pairs) == 67 * 68 // 2
+
+
+@pytest.fixture
+def off_by_one(monkeypatch):
+    """Structure constants with the first constant of every product one too large."""
+    true = cycle_algebra._structure_constants_items
+
+    def corrupted(a, b):
+        (f, n), *rest = true(a, b)
+        return ((f, n + 1), *rest)
+
+    monkeypatch.setattr(cycle_algebra, "_structure_constants_items", corrupted)
+    sheaves._constant_rank_verified.cache_clear()
+    yield
+    sheaves._constant_rank_verified.cache_clear()
+
+
+def test_a_wrong_structure_constant_fails_the_tame_cross_check(off_by_one, capsys):
+    with pytest.raises(ConsistencyError):
+        s_tame(2, Divisor({"s": 1}), 4)
+    assert cli.main(["series", "--rank", "2", "--sing", "s:1", "--max-degree", "4"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: constant rank 2: product expansion and closed form disagree")

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taucycles import series as series_module
 from taucycles.combinat import MultVec
 from taucycles.cycle_algebra import CycleSum, tau, unit
 from taucycles.divisors import Divisor
-from taucycles.errors import ArgumentError
-from taucycles.series import CycleSeries, series_one
-from taucycles.sheaves import s_tame
+from taucycles.errors import ArgumentError, ConsistencyError
+from taucycles.series import CycleSeries, series_inverse, series_one
+from taucycles.sheaves import s_skyscraper, s_tame
 
 N = 4
 
@@ -135,3 +136,56 @@ def test_latex_shape():
 
 def test_equality_requires_same_order():
     assert series_one(2) != series_one(3)
+
+
+def geometric_inverse(s: CycleSeries) -> CycleSeries:
+    """1 / (1 - T) as 1 + T + T^2 + ... + T^N, with T = 1 - s: N series products."""
+    n = s.max_degree
+    t = series_one(n) - s
+    out = power = series_one(n)
+    for _ in range(n):
+        power = power * t
+        out = out + power
+    return out
+
+
+INVERSE_SWEEP = [
+    *(
+        (f"tame rank {rank} drops {drops} N={n}", lambda r=rank, d=drops, n=n: s_tame(r, Divisor.parse(d), n))
+        for rank in (1, 2, 3)
+        for drops in ("0", "s", "t + u", "s + t + u")
+        for n in (1, 4, 8)
+    ),
+    ("tame rank 3 drops 3*s + 2*t N=6", lambda: s_tame(3, Divisor.parse("3*s + 2*t"), 6)),
+    *(
+        (f"shifted skyscraper {m} N={n}", lambda m=m, n=n: s_skyscraper(Divisor.parse(m), True, n))
+        for m in ("s", "2*s + t", "s + t + u", "3*u")
+        for n in (0, 3, 8)
+    ),
+]
+
+
+@pytest.mark.parametrize("label, build", INVERSE_SWEEP, ids=[label for label, _ in INVERSE_SWEEP])
+def test_series_inverse_matches_the_geometric_series(label, build):
+    s = build()
+    inverse = series_inverse(s)
+    assert inverse == geometric_inverse(s)
+    assert s * inverse == series_one(s.max_degree)
+    assert s.inverse() == inverse
+    # the trusted result passes the checks of the public constructor
+    assert CycleSeries(inverse.coefficients()) == inverse
+
+
+def test_series_inverse_needs_constant_one():
+    with pytest.raises(ArgumentError):
+        series_inverse(series_one(2) + series_one(2))
+
+
+def test_a_wrong_inverse_fails_the_unshifted_skyscraper(monkeypatch):
+    def off_by_one(s):
+        right = series_inverse(s).coefficients()
+        return CycleSeries(right[:-1] + (right[-1] + right[-1],))
+
+    monkeypatch.setattr(series_module, "series_inverse", off_by_one)
+    with pytest.raises(ConsistencyError, match="unshifted skyscraper"):
+        s_skyscraper(Divisor({"s": 2}), False, 3)
