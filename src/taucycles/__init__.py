@@ -25,9 +25,7 @@ _EXPORTS = {
         "MultVec",
         "conjugate",
         "count_m",
-        "count_m_oracle",
         "gen_binomial",
-        "merge_closure_leq",
         "partitions",
         "set_partitions",
     ),
@@ -98,9 +96,7 @@ __all__ = [
     "basis_of_grade",
     "conjugate",
     "count_m",
-    "count_m_oracle",
     "gen_binomial",
-    "merge_closure_leq",
     "partitions",
     "set_partitions",
     "divisor_binomial",

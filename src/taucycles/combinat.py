@@ -4,11 +4,18 @@ A multiplicity vector records, for each part size i >= 1, how many parts
 of that size occur.  It carries the same data as an integer partition,
 and both coordinates are used throughout: partitions for tables and
 labels, multiplicity vectors for the cycle algebra.
+
+``count_m`` counts 0-1 matrices with given row and column sums, the
+transition matrix from the elementary to the monomial symmetric
+functions (Macdonald, I (6.6)).  Its memoised recursion fills one column
+at a time.  Rows of equal sum are picked as a group, one binomial per
+group, and the rows left over come out already in descending order, so
+no state is sorted.  Exhaustive oracles for these counts live with the
+tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
@@ -22,11 +29,8 @@ __all__ = [
     "compositions",
     "compositions_fixed_length",
     "count_m",
-    "count_m_oracle",
     "gen_binomial",
-    "merge_closure_leq",
     "set_partitions",
-    "coarsenings",
     "validate_partition",
 ]
 
@@ -244,16 +248,6 @@ def compositions_fixed_length(n: int, length: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _capped_compositions(caps: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for k in range(min(caps[0], total) + 1):
-        for rest in _capped_compositions(caps[1:], total - k):
-            yield (k,) + rest
-
-
 def count_m(lam: Iterable[int], mu: Iterable[int]) -> int:
     """Number of 0-1 matrices with row sums ``lam`` and column sums ``mu``.
 
@@ -280,56 +274,44 @@ def _count_binary_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     # rows and cols are descending tuples with zeros stripped
     if not cols:
         return 1 if not rows else 0
-    if rows and rows[0] > len(cols):
-        return 0  # each row places at most one entry per column
     col = cols[0]
+    if col > len(rows) or rows[0] > len(cols):
+        return 0  # a column has at most one entry per row, a row one per column
     groups: list[tuple[int, int]] = []
     for value in rows:
         if groups and groups[-1][0] == value:
             groups[-1] = (value, groups[-1][1] + 1)
         else:
             groups.append((value, 1))
+    # The picks for the first column, group by group, as partial
+    # (taken, residual, ways) states.  A group of value v leaves v on its
+    # rows not taken and v - 1 on its rows taken, and every later group has
+    # a smaller value, so each residual is built already descending.  A
+    # pick leaves at most `after` entries of the column to later groups,
+    # so at the last group exactly the picks completing the column remain.
+    comb = math.comb
+    states = [(0, (), 1)]
+    after = len(rows)
+    for value, avail in groups[:-1]:
+        after -= avail
+        grown = []
+        for taken, residual, ways in states:
+            room = col - taken
+            for k in range(room - after if room > after else 0, min(avail, room) + 1):
+                grown.append((
+                    taken + k,
+                    residual + (value,) * (avail - k) + (value - 1,) * k,
+                    ways * comb(avail, k),
+                ))
+        states = grown
+    value, avail = groups[-1]
+    rest = cols[1:]
     total = 0
-    caps = tuple(g[1] for g in groups)
-    for picks in _capped_compositions(caps, col):
-        ways = 1
-        residual: list[int] = []
-        for (value, avail), taken in zip(groups, picks):
-            ways *= math.comb(avail, taken)
-            residual.extend([value] * (avail - taken))
-            if value > 1:
-                residual.extend([value - 1] * taken)
-        total += ways * _count_binary_matrices(tuple(sorted(residual, reverse=True)), cols[1:])
+    for taken, residual, ways in states:
+        k = col - taken
+        tail = (value,) * (avail - k) + ((value - 1,) * k if value > 1 else ())
+        total += ways * comb(avail, k) * _count_binary_matrices(residual + tail, rest)
     return total
-
-
-def count_m_oracle(lam: Iterable[int], mu: Iterable[int]) -> int:
-    """Same count by exhaustive enumeration of row supports.
-
-    Kept as a correctness oracle for the recursion; refuses grids with
-    more than 20 cells.
-    """
-    rows = validate_partition(lam)
-    cols = tuple(mu)
-    for c in cols:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-            raise ArgumentError(f"column sums must be nonnegative integers, got {c!r}")
-    if sum(rows) != sum(cols):
-        raise ArgumentError(f"row total {sum(rows)} and column total {sum(cols)} disagree")
-    if len(rows) * len(cols) > 20:
-        raise ArgumentError(
-            f"enumeration oracle is limited to 20 cells, got {len(rows)}x{len(cols)}"
-        )
-    m = len(cols)
-    count = 0
-    for supports in itertools.product(*(itertools.combinations(range(m), r) for r in rows)):
-        sums = [0] * m
-        for support in supports:
-            for j in support:
-                sums[j] += 1
-        if tuple(sums) == cols:
-            count += 1
-    return count
 
 
 def gen_binomial(a: int, m: int) -> int:
@@ -352,35 +334,6 @@ def gen_binomial(a: int, m: int) -> int:
     for i in range(m):
         numerator *= a - i
     return exact_div(numerator, math.factorial(m))
-
-
-def merge_closure_leq(finer: Iterable[int], coarser: Iterable[int]) -> bool:
-    """True when ``coarser`` arises from ``finer`` by repeatedly merging two parts.
-
-    Reflexive.  Both arguments must partition the same integer.
-    """
-    a = validate_partition(finer)
-    b = tuple(sorted(validate_partition(coarser), reverse=True))
-    if sum(a) != sum(b):
-        raise ArgumentError(f"partitions of different integers: {sum(a)} vs {sum(b)}")
-    start = tuple(sorted(a, reverse=True))
-    seen = {start}
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        if cur == b:
-            return True
-        if len(cur) <= len(b):
-            continue  # merging only shortens, equality was checked above
-        for i in range(len(cur)):
-            for j in range(i + 1, len(cur)):
-                merged = tuple(
-                    sorted(cur[:i] + cur[i + 1 : j] + cur[j + 1 :] + (cur[i] + cur[j],), reverse=True)
-                )
-                if merged not in seen:
-                    seen.add(merged)
-                    stack.append(merged)
-    return False
 
 
 def set_partitions(labels: Iterable[object]) -> Iterator[tuple[tuple[object, ...], ...]]:
@@ -410,24 +363,3 @@ def set_partitions(labels: Iterable[object]) -> Iterator[tuple[tuple[object, ...
         blocks.pop()
 
     yield from grow(0, [])
-
-
-def coarsenings(blocks: Iterable[Iterable[object]]) -> list[tuple[tuple[object, ...], ...]]:
-    """Every partition of the same ground set whose blocks are unions of the given blocks.
-
-    Includes the input itself.  The result is sorted for determinism.
-    """
-    base = [tuple(b) for b in blocks]
-    flat: list[object] = [x for b in base for x in b]
-    if any(not b for b in base):
-        raise ArgumentError("blocks must be nonempty")
-    if len(set(flat)) != len(flat):
-        raise ArgumentError("blocks must be pairwise disjoint")
-    out = []
-    for grouping in set_partitions(range(len(base))):
-        merged = tuple(
-            sorted(tuple(sorted(x for i in group for x in base[i])) for group in grouping)
-        )
-        out.append(merged)
-    out.sort()
-    return out

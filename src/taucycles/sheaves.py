@@ -4,6 +4,13 @@ Every constructor here computes its answer twice, through a product
 expansion and through a closed formula, and refuses to return unless the
 two agree.  A disagreement raises ConsistencyError and means a falsified
 identity, so the check is deliberately not optional.
+
+The pushforwards along addition maps are checked the same way.  A
+composition class is a count of 0-1 matrices against a product of
+one-part classes.  A partition class is a product of one-part classes
+against the sum over set partitions of its parts, which is counted on
+aggregated states (the multiset of block sums) rather than partition by
+partition.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from .combinat import (
     count_m,
     gen_binomial,
     partitions,
-    set_partitions,
     validate_partition,
 )
 from .divisors import Divisor, divisor_binomial, subdivisors
@@ -234,18 +240,35 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _block_sum_counts(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    # descending block sums -> the number of set partitions of the parts
+    # with those block sums; part x opens a block or joins one of the c
+    # blocks of some sum b, which makes c partitions from each counted one
+    states = {(): 1}
+    for x in parts:
+        grown: dict[tuple[int, ...], int] = {}
+        for sums, count in states.items():
+            opened = tuple(sorted(sums + (x,), reverse=True))
+            grown[opened] = grown.get(opened, 0) + count
+            for i, b in enumerate(sums):
+                if i and sums[i - 1] == b:
+                    continue  # each distinct block sum once, weighted by its c
+                joined = tuple(sorted(sums[:i] + sums[i + 1 :] + (b + x,), reverse=True))
+                grown[joined] = grown.get(joined, 0) + count * sums.count(b)
+        states = grown
+    return states
+
+
 def _merge_enumeration(parts: tuple[int, ...]) -> CycleSum:
     sign = -1 if len(parts) % 2 else 1
     acc: dict[TauBasis, int] = {}
-    for grouping in set_partitions(range(len(parts))):
-        merged = sorted((sum(parts[i] for i in block) for block in grouping), reverse=True)
-        f = MultVec.from_partition(merged)
-        key = TauBasis(Divisor(), f)
-        acc[key] = acc.get(key, 0) + sign * f.factorial_product()
+    for sums, count in _block_sum_counts(parts).items():
+        f = MultVec.from_partition(sums)
+        acc[TauBasis(Divisor(), f)] = sign * f.factorial_product() * count
     return CycleSum(acc)
 
 
-_PARTITION_ENUM_CAP = 8  # Bell(8) = 4140 set partitions
+_PARTITION_ENUM_CAP = 8  # the most parts whose merge sum is checked against the fold
 
 
 def pushforward_partition(lam: tuple[int, ...], base_char: int = 0) -> CycleSum:
@@ -255,7 +278,9 @@ def pushforward_partition(lam: tuple[int, ...], base_char: int = 0) -> CycleSum:
     at most eight parts it is compared exactly with ``(-1)^l`` times the
     sum over all ways of merging the ``l`` parts, each merged shape
     weighted by the product of the factorials of its multiplicities; a
-    disagreement raises ConsistencyError.  Every part must be invertible
+    disagreement raises ConsistencyError.  That sum over set partitions
+    is counted by a dynamic programme over their block sums, so the
+    Bell(l) partitions are never listed.  Every part must be invertible
     in the base field.
     """
     parts = validate_partition(lam)

@@ -380,6 +380,29 @@ def test_closed_stdout_exits_zero_without_traceback():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("strata", "--grade", "3"),  # fits the buffer: fails on the final flush
+        ("mtable", "--n", "14"),  # past the buffer: fails while printing
+    ],
+)
+def test_full_device_exits_three_with_one_error_line(argv):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "taucycles", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=src_env(),
+            timeout=60,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def new_modules(code: str) -> set[str]:
     """Modules that ``code`` loads in a fresh interpreter on top of its start-up set."""
     probe = (

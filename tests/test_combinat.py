@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import coarsenings, count_m_oracle, merge_closure_leq
 from taucycles.combinat import (
     MultVec,
-    coarsenings,
     compositions,
     compositions_fixed_length,
     conjugate,
     count_m,
-    count_m_oracle,
     gen_binomial,
-    merge_closure_leq,
     partitions,
     set_partitions,
     validate_partition,

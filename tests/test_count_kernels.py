@@ -1,0 +1,112 @@
+"""The two exponential kernels of the counting path against their oracles.
+
+``combinat._count_binary_matrices`` (the 0-1 matrix count) and
+``sheaves._merge_enumeration`` (the set-partition sum behind partition
+pushforwards) both work on aggregated states.  These tests compare them
+exactly with the slow routes in ``oracles``, check that an off-by-one in
+either is caught by the cross-check that consumes it, and pin the work
+they do in counts that do not depend on timing.
+"""
+
+import pytest
+
+from oracles import count_binary_matrices_recursion, count_m_oracle, merge_enumeration
+from taucycles import combinat, cycle_algebra, index, sheaves
+from taucycles.combinat import conjugate, partitions
+from taucycles.errors import ConsistencyError
+from taucycles.sheaves import _merge_enumeration, pushforward_composition, pushforward_partition
+
+COUNT = combinat._count_binary_matrices  # the memoised kernel, kept past any monkeypatch
+
+
+@pytest.fixture
+def cold_caches():
+    # start from an empty count cache, and leave none filled through a patch
+    COUNT.cache_clear()
+    index._infer_degrees_cached.cache_clear()
+    yield
+    COUNT.cache_clear()
+    index._infer_degrees_cached.cache_clear()
+
+
+def _corrupt_count(monkeypatch, key):
+    def off_by_one(rows, cols):
+        return COUNT(rows, cols) + (1 if (rows, cols) == key else 0)
+
+    # index imports the kernel by name, and the recursion looks itself up in combinat
+    monkeypatch.setattr(combinat, "_count_binary_matrices", off_by_one)
+    monkeypatch.setattr(index, "_count_binary_matrices", off_by_one)
+
+
+def test_count_matches_recursion_and_enumeration_through_13(cold_caches):
+    for n in range(14):
+        lams = list(partitions(n))
+        for rows in map(conjugate, lams):
+            for mu in lams:
+                got = COUNT(rows, mu)
+                assert got == count_binary_matrices_recursion(rows, mu), (rows, mu)
+                if len(rows) * len(mu) <= 20:
+                    assert got == count_m_oracle(rows, mu), (rows, mu)
+
+
+def test_merge_dp_matches_set_partition_enumeration_through_12():
+    for n in range(13):
+        for lam in partitions(n):
+            if len(lam) <= 8:
+                assert _merge_enumeration(lam) == merge_enumeration(lam), lam
+
+
+def test_off_by_one_in_a_dp_state_is_caught(monkeypatch):
+    parts = (3, 2, 1, 1)
+    real = sheaves._block_sum_counts
+    states = real(parts)
+    assert sum(states.values()) == 15  # Bell(4) set partitions in all
+    for target in states:
+        for delta in (1, -1):
+
+            def off_by_one(p, target=target, delta=delta):
+                counts = real(p)
+                counts[target] += delta
+                return counts
+
+            monkeypatch.setattr(sheaves, "_block_sum_counts", off_by_one)
+            with pytest.raises(ConsistencyError, match="enumeration and factor product disagree"):
+                pushforward_partition(parts)
+
+
+def test_off_by_one_count_is_caught_by_composition_pushforward(monkeypatch, cold_caches):
+    mu = (2, 1, 1)
+    for lam in partitions(4):
+        _corrupt_count(monkeypatch, (lam, mu))
+        with pytest.raises(ConsistencyError, match="matrix count and factor product disagree"):
+            pushforward_composition(mu)
+        COUNT.cache_clear()
+
+
+def test_off_by_one_count_is_caught_by_infer_degrees(monkeypatch, cold_caches):
+    # at genus 0 no stratum degree vanishes, so every entry feeds the solve
+    lams = list(partitions(4))
+    for rows in map(conjugate, lams):
+        for mu in lams:
+            _corrupt_count(monkeypatch, (rows, mu))
+            with pytest.raises(ConsistencyError):
+                index.infer_degrees(0, 4)
+            COUNT.cache_clear()
+            index._infer_degrees_cached.cache_clear()
+
+
+@pytest.mark.parametrize("n, entries", [(12, 7137), (14, 21677)])
+def test_count_cache_holds_the_same_memo_states(cold_caches, n, entries):
+    index.index_matrix(n)
+    assert COUNT.cache_info().currsize == entries
+
+
+def test_partition_pushforward_lists_no_set_partitions(monkeypatch):
+    def refuse(labels):
+        raise AssertionError("set partitions were enumerated")
+
+    for module in (combinat, cycle_algebra, sheaves):
+        monkeypatch.setattr(module, "set_partitions", refuse, raising=False)
+    for n in range(13):
+        for lam in partitions(n):
+            pushforward_partition(lam)

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import count_m_oracle
 from taucycles import index
 from taucycles.combinat import (
     compositions,
     conjugate,
     count_m,
-    count_m_oracle,
     gen_binomial,
     partitions,
 )
