@@ -13,7 +13,9 @@ independent routes to those constants are kept side by side:
 
 Products work on plain tuples: the terms of each factor are grouped by
 divisor, and the result accumulates on divisor items, then on the items of
-each output vector, before its objects are built once per term.
+each output vector, before its objects are built once per term.  A square
+visits each unordered pair of terms once, and a power is a fold of
+products by its base.
 """
 
 from __future__ import annotations
@@ -50,14 +52,14 @@ class TauBasis:
             raise ArgumentError(f"e must be a MultVec, got {type(e).__name__}")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "e", e)
-        object.__setattr__(self, "_hash", hash((delta, e)))
+        object.__setattr__(self, "_hash", hash((delta._hash, e._hash)))
 
     @classmethod
     def _trusted(cls, delta: Divisor, e: MultVec) -> "TauBasis":
         self = object.__new__(cls)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "e", e)
-        object.__setattr__(self, "_hash", hash((delta, e)))
+        object.__setattr__(self, "_hash", hash((delta._hash, e._hash)))
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -207,19 +209,20 @@ class CycleSum:
         if not isinstance(other, CycleSum):
             return NotImplemented
         acc: dict = {}
-        _accumulate_product(acc, _grouped(self._terms), _grouped(other._terms))
+        if other is self:
+            _accumulate_square(acc, _grouped(self._terms))
+        else:
+            _accumulate_product(acc, _grouped(self._terms), _grouped(other._terms))
         return _from_raw(acc)
 
     def __pow__(self, k: int) -> "CycleSum":
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ArgumentError(f"exponent must be a nonnegative integer, got {k!r}")
-        out = unit()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        if not k:
+            return unit()
+        out = self
+        for _ in range(k - 1):
+            out = out * self
         return out
 
     def render(self) -> str:
@@ -298,6 +301,37 @@ def _accumulate_product(acc: dict, left: list, right: list) -> None:
             get = sub.get
             for a, c1 in group1:
                 for b, c2 in group2:
+                    c = c1 * c2
+                    for f, n in constants(a, b) if a <= b else constants(b, a):
+                        sub[f] = get(f, 0) + c * n
+
+
+def _accumulate_square(acc: dict, terms: list) -> None:
+    """Add the square of a grouped term list into ``acc``, as ``_accumulate_product`` does.
+
+    The product is commutative, so each unordered pair of terms is visited
+    once: a term times itself with its own coefficient, two distinct terms
+    with twice theirs.
+    """
+    constants = _structure_constants_items
+    for i, (d1, group1) in enumerate(terms):
+        for j in range(i, len(terms)):
+            d2, group2 = terms[j]
+            delta = _sum_items(d1, d2)
+            sub = acc.get(delta)
+            if sub is None:
+                sub = acc[delta] = {}
+            get = sub.get
+            for p, (a, c1) in enumerate(group1):
+                if i == j:
+                    c = c1 * c1
+                    for f, n in constants(a, a):
+                        sub[f] = get(f, 0) + c * n
+                    rest = group2[p + 1 :]
+                else:
+                    rest = group2
+                c1 *= 2
+                for b, c2 in rest:
                     c = c1 * c2
                     for f, n in constants(a, b) if a <= b else constants(b, a):
                         sub[f] = get(f, 0) + c * n

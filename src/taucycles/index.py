@@ -57,14 +57,24 @@ def index_matrix(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
 
     Entry (i, j) counts 0-1 matrices with row sums conjugate to the i-th
     partition and column sums the j-th partition.  The result is upper
-    triangular with unit diagonal, which is re-verified on every call.
+    triangular with unit diagonal, which is verified when the matrix for
+    ``n`` is first built; later calls return fresh copies of it.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ArgumentError(f"n must be a nonnegative integer, got {n!r}")
-    lams = list(partitions(n))
+    lams, matrix = _verified_matrix(n)
+    return list(lams), [list(row) for row in matrix]
+
+
+@lru_cache(maxsize=32)
+def _verified_matrix(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    # built and checked once per n; index_matrix hands out copies
+    lams = tuple(partitions(n))
     # partitions and their conjugates are descending without zeros, the
     # form the count recursion takes, so the checks of count_m are skipped
-    matrix = [[_count_binary_matrices(rows, mu) for mu in lams] for rows in map(conjugate, lams)]
+    matrix = tuple(
+        tuple([_count_binary_matrices(rows, mu) for mu in lams]) for rows in map(conjugate, lams)
+    )
     for i in range(len(lams)):
         if matrix[i][i] != 1:
             raise ConsistencyError(f"diagonal entry for {lams[i]} is {matrix[i][i]}, expected 1")
@@ -87,7 +97,7 @@ def _chi_product(chi_values: list[int], parts: tuple[int, ...], n: int) -> int:
 @lru_cache(maxsize=None)
 def _infer_degrees_cached(genus: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     chi_values = chi_sym_powers(2 - 2 * genus, n)
-    lams, matrix = index_matrix(n)
+    lams, matrix = _verified_matrix(n)
     y: list[int] = []
     for j, mu in enumerate(lams):
         val = _chi_product(chi_values, mu, n)

@@ -47,9 +47,14 @@ def _check_order(max_degree: int) -> None:
         raise ArgumentError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
 
 
+def _raw_terms(s: CycleSum) -> tuple:
+    # (delta items, e items, coeff) per term: equal exactly when the sums are
+    return tuple((b.delta._items, b.e._items, c) for b, c in s.terms())
+
+
 def _assert_match(product_route: CycleSeries, closed_route: CycleSeries, label: str) -> CycleSeries:
     for n in range(closed_route.max_degree + 1):
-        if product_route.coefficient(n) != closed_route.coefficient(n):
+        if _raw_terms(product_route.coefficient(n)) != _raw_terms(closed_route.coefficient(n)):
             raise ConsistencyError(
                 f"{label}: product expansion and closed form disagree at degree {n}: "
                 f"{product_route.coefficient(n).render()} vs {closed_route.coefficient(n).render()}"
@@ -66,7 +71,17 @@ def _point_linear_factor(name: str, max_degree: int) -> CycleSeries:
     return CycleSeries(coeffs)
 
 
-def _shape_weights(rank: int, max_degree: int) -> list[list[tuple[MultVec, int]]]:
+def _local_factors(points: Divisor, max_degree: int) -> CycleSeries:
+    # prod_s (1 - tau[s;])^{m_s}, the product route of the divisor part
+    out = None
+    for name, m in points.items():
+        factor = _point_linear_factor(name, max_degree) ** m
+        out = factor if out is None else out * factor
+    return series_one(max_degree) if out is None else out
+
+
+@lru_cache(maxsize=64)
+def _shape_weights(rank: int, max_degree: int) -> tuple[tuple[tuple[MultVec, int], ...], ...]:
     # by weight n <= max_degree, every e with parts at most the rank, sorted,
     # and its weight prod_i binom(rank, i)^{e_i}
     out = []
@@ -78,8 +93,8 @@ def _shape_weights(rank: int, max_degree: int) -> list[list[tuple[MultVec, int]]
             for size, count in e.items():
                 weight *= math.comb(rank, size) ** count
             shapes.append((e, weight))
-        out.append(sorted(shapes, key=lambda pair: pair[0].items()))
-    return out
+        out.append(tuple(sorted(shapes, key=lambda pair: pair[0].items())))
+    return tuple(out)
 
 
 def _constant_rank_closed(rank: int, max_degree: int) -> CycleSeries:
@@ -142,9 +157,7 @@ def s_skyscraper(multiplicities: Divisor, shifted: bool, max_degree: int) -> Cyc
     if not isinstance(multiplicities, Divisor):
         raise ArgumentError("multiplicities must be a Divisor")
     _check_order(max_degree)
-    product_route = series_one(max_degree)
-    for name, m in multiplicities.items():
-        product_route = product_route * (_point_linear_factor(name, max_degree) ** m)
+    product_route = _local_factors(multiplicities, max_degree)
     if not shifted:
         product_route = product_route.inverse()
     closed = _skyscraper_closed(multiplicities, shifted, max_degree)
@@ -182,8 +195,9 @@ def s_tame(rank: int, drops: Divisor, max_degree: int) -> CycleSeries:
     descriptor = SheafDescriptor(rank, drops)  # validates rank and drop bounds
     _check_order(max_degree)
     product_route = s_constant_rank(descriptor.rank, max_degree)
-    for name, a in descriptor.drops.items():
-        product_route = product_route * (_point_linear_factor(name, max_degree) ** a)
+    if descriptor.drops:
+        # the sparse local factors first, then one product with the dense series
+        product_route = product_route * _local_factors(descriptor.drops, max_degree)
     closed = _tame_closed(descriptor.rank, descriptor.drops, max_degree)
     return _assert_match(
         product_route, closed, f"tame rank {rank} with drops {drops.pretty()}"

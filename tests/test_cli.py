@@ -500,3 +500,36 @@ def test_table_size_limit_is_inclusive(capsys, monkeypatch):
     assert run(capsys, "index-degrees", "--genus", "0", "--n", "3")[0] == 0
     assert run(capsys, "mtable", "--n", "4")[0] == 3
     assert run(capsys, "index-degrees", "--genus", "0", "--n", "4")[0] == 3
+
+
+@pytest.mark.parametrize("route", ["--composition", "--partition"])
+def test_pushforward_weight_limit_is_inclusive(route, capsys, monkeypatch):
+    from taucycles import sheaves
+
+    assert run(capsys, "pushforward", route, "10,10,10")[0] == 0
+    # a malformed list is a bad argument, whatever its weight
+    assert run(capsys, "pushforward", route, "40,0")[0] == 2
+
+    def refuse(*args):
+        raise AssertionError("the pushforward ran past its limit")
+
+    for name in ("pushforward_composition", "pushforward_partition"):
+        monkeypatch.setattr(sheaves, name, refuse)
+    code, out, err = run(capsys, "pushforward", route, "11,10,10")
+    assert code == 3
+    assert out == ""
+    assert err == "error: weight 31 is above the limit of 30 for this command\n"
+    assert run(capsys, "pushforward", "--partition", "1,40")[0] == 2
+
+
+def test_long_composition_pushforward_is_refused_without_traceback():
+    # 1200 ones used to end in a RecursionError and exit 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "taucycles", "pushforward", "--composition", ",".join(["1"] * 1200)],
+        capture_output=True,
+        env=src_env(),
+        timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == "error: weight 1200 is above the limit of 30 for this command\n"

@@ -22,10 +22,14 @@ COUNT = combinat._count_binary_matrices  # the memoised kernel, kept past any mo
 @pytest.fixture
 def cold_caches():
     # start from an empty count cache, and leave none filled through a patch
-    COUNT.cache_clear()
-    index._infer_degrees_cached.cache_clear()
+    _clear_count_caches()
     yield
+    _clear_count_caches()
+
+
+def _clear_count_caches():
     COUNT.cache_clear()
+    index._verified_matrix.cache_clear()
     index._infer_degrees_cached.cache_clear()
 
 
@@ -91,8 +95,7 @@ def test_off_by_one_count_is_caught_by_infer_degrees(monkeypatch, cold_caches):
             _corrupt_count(monkeypatch, (rows, mu))
             with pytest.raises(ConsistencyError):
                 index.infer_degrees(0, 4)
-            COUNT.cache_clear()
-            index._infer_degrees_cached.cache_clear()
+            _clear_count_caches()
 
 
 @pytest.mark.parametrize("n, entries", [(12, 7137), (14, 21677)])

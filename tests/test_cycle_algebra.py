@@ -110,9 +110,12 @@ class TestRingAxioms:
 
     def test_pow(self):
         t1 = tau(None, MultVec({1: 1}))
-        assert t1**0 == unit()
-        assert t1**1 == t1
-        assert t1**3 == t1 * t1 * t1
+        x = t1.scale(2) - tau(Divisor({"s": 1}))
+        for base in (t1, x):
+            by_mul = unit()
+            for k in range(5):
+                assert base**k == by_mul, (base, k)
+                by_mul = by_mul * base
 
     def test_divisor_translation(self):
         left = tau(Divisor({"s": 1}), MultVec({1: 1}))

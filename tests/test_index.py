@@ -146,6 +146,19 @@ class TestIndexRoutes:
                     if len(rows) * len(mu) <= 20:
                         assert entry == count_m_oracle(rows, mu)
 
+    def test_matrix_is_built_once_and_handed_out_fresh(self):
+        index._verified_matrix.cache_clear()
+        index._infer_degrees_cached.cache_clear()
+        first = index_matrix(6)
+        for genus in range(5):
+            infer_degrees(genus, 6)
+        lams, matrix = index_matrix(6)
+        assert index._verified_matrix.cache_info().misses == 1
+        assert (lams, matrix) == first and lams is not first[0] and matrix[0] is not first[1][0]
+        lams.clear()
+        matrix[0][0] = 7
+        assert index_matrix(6) == first
+
     def test_corrupted_solve_is_caught(self, monkeypatch):
         original = index._chi_product
 

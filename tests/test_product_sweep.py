@@ -2,15 +2,18 @@
 
 Products of cycle sums and of series accumulate on raw ``(delta, f)`` keys
 and build their results without re-validating them.  These sweeps compare
-that path with answers assembled only from public, validating constructors.
+that path with answers assembled only from public, validating constructors,
+and the square path, which visits each unordered pair once, with the
+general product.
 """
 
 import itertools
 import math
+import random
 
 import pytest
 
-from taucycles import cli, cycle_algebra, sheaves
+from taucycles import cli, cycle_algebra, series, sheaves
 from taucycles.combinat import MultVec, partitions
 from taucycles.cycle_algebra import (
     CycleSum,
@@ -24,7 +27,7 @@ from taucycles.cycle_algebra import (
 from taucycles.divisors import Divisor
 from taucycles.errors import ArgumentError, ConsistencyError
 from taucycles.series import CycleSeries
-from taucycles.sheaves import s_skyscraper, s_tame
+from taucycles.sheaves import s_constant_rank, s_skyscraper, s_tame
 
 
 def test_basis_products_match_the_enumeration_oracle():
@@ -177,3 +180,66 @@ def test_a_wrong_structure_constant_fails_the_tame_cross_check(off_by_one, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: constant rank 2: product expansion and closed form disagree")
+
+
+# ---------------------------------------------------------------------------
+# squares on unordered pairs
+
+
+def _seeded_sums():
+    """Every basis_of_grade sum of grade at most 6 on at most two points, seeded coefficients."""
+    rng = random.Random(17)
+    for points in ([], ["s"], ["s", "t"]):
+        mixed = []
+        for grade in range(7):
+            bases = basis_of_grade(grade, points)
+            mixed += bases
+            yield CycleSum((b, rng.choice((-3, -2, -1, 1, 2, 5))) for b in bases)
+        yield CycleSum((b, rng.choice((-2, -1, 1, 3))) for b in mixed)
+
+
+def test_cycle_sum_square_matches_the_general_product():
+    sums = list(_seeded_sums())
+    assert len(sums) == 24
+    for x in sums:
+        # an equal but distinct right factor takes the general product
+        assert x * x == x * CycleSum(x.terms()), x
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_series_square_matches_the_general_product(rank):
+    for drops in (Divisor(), Divisor({"s": 1}), Divisor({"s": rank, "t": 1})):
+        for n in range(8):
+            s = s_tame(rank, drops, n)
+            assert s * s == s * CycleSeries(s.coefficients()), (rank, drops, n)
+
+
+@pytest.fixture
+def undoubled(monkeypatch):
+    """Series squares that count each pair of distinct degrees once, not twice."""
+    monkeypatch.setattr(series, "_doubled", lambda terms: terms)
+    sheaves._constant_rank_verified.cache_clear()
+    yield
+    sheaves._constant_rank_verified.cache_clear()
+
+
+def test_a_wrong_doubling_fails_the_checks(undoubled, capsys):
+    with pytest.raises(ConsistencyError):
+        s_constant_rank(2, 5)
+    assert cli.main(["series", "--rank", "2", "--max-degree", "5"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: constant rank 2: product expansion and closed form disagree")
+
+
+def test_a_wrong_local_factor_fails_the_checks(monkeypatch):
+    def corrupted(name, max_degree):
+        coeffs = [tau(), tau(Divisor.point(name), coeff=-2)] + [CycleSum()] * (max_degree - 1)
+        return CycleSeries(coeffs)
+
+    monkeypatch.setattr(sheaves, "_point_linear_factor", corrupted)
+    with pytest.raises(ConsistencyError, match="tame rank 2"):
+        s_tame(2, Divisor({"s": 1, "t": 2}), 4)
+    for shifted in (True, False):
+        with pytest.raises(ConsistencyError, match="skyscraper"):
+            s_skyscraper(Divisor({"s": 2}), shifted, 4)

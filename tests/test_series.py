@@ -97,7 +97,7 @@ def test_inverse(s):
     assert s.inverse().inverse() == s
 
 
-@given(small_series, st.integers(0, 3))
+@given(small_series, st.integers(0, 4))
 @settings(max_examples=12, deadline=None)
 def test_pow_matches_repeated_mul(s, k):
     by_mul = series_one(N)
