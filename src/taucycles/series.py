@@ -3,10 +3,11 @@
 A series of order ``N`` stores one homogeneous cycle sum per degree
 ``0..N``.  The degree-``n`` coefficient may only contain basis cycles of
 grade ``n``; mixing grades inside one coefficient is rejected outright.
-Multiplication is the Cauchy product truncated at ``N``; a square takes
-each degree pair ``i < k - i`` once, doubled, and a power is a fold of
-products by its base.  The inverse of a series ``A`` with ``A_0 = 1`` is
-the power-series reciprocal, one pass of the recurrence ``B_0 = 1``,
+Multiplication is the Cauchy product truncated at ``N``.  A power ``A^k``
+is a fold of products by ``A`` for ``k <= 2(N + 1)``; above that it is the
+square of ``A^(k//2)``, times ``A`` if ``k`` is odd, so a power takes
+``O(N + log k)`` products.  The inverse of a series ``A`` with ``A_0 = 1``
+is the power-series reciprocal, one pass of the recurrence ``B_0 = 1``,
 ``B_k = -sum_{i=1..k} A_i B_{k-i}`` (Knuth, TAOCP vol. 2, 4.7): about the
 work of one Cauchy product.
 """
@@ -15,14 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .cycle_algebra import (
-    CycleSum,
-    _accumulate_product,
-    _accumulate_square,
-    _from_raw,
-    _grouped,
-    unit,
-)
+from .cycle_algebra import CycleSum, _accumulate_product, _from_raw, _grouped, unit
 from .errors import ArgumentError
 
 __all__ = ["CycleSeries", "series_one", "series_inverse"]
@@ -99,9 +93,7 @@ class CycleSeries:
             return NotImplemented
         self._check_same_order(other)
         left = [_grouped(c.terms()) for c in self._coeffs]
-        if other is self:
-            return CycleSeries._trusted(_square(left))
-        right = [_grouped(c.terms()) for c in other._coeffs]
+        right = left if other is self else [_grouped(c.terms()) for c in other._coeffs]
         out = []
         for k in range(self.max_degree + 1):
             acc: dict = {}
@@ -116,6 +108,12 @@ class CycleSeries:
             raise ArgumentError(f"exponent must be a nonnegative integer, got {k!r}")
         if not k:
             return series_one(self.max_degree)
+        if k > 2 * (self.max_degree + 1):
+            # a fold would take k - 1 products; past about twice the order a
+            # dense square costs less than the fold steps it saves
+            half = self ** (k // 2)
+            out = half * half
+            return out * self if k % 2 else out
         out = self
         for _ in range(k - 1):
             out = out * self
@@ -144,27 +142,6 @@ class CycleSeries:
     def __repr__(self) -> str:
         inner = "; ".join(c.render() for c in self._coeffs)
         return f"CycleSeries[{inner}]"
-
-
-def _square(coeffs: list) -> tuple[CycleSum, ...]:
-    # the Cauchy square of grouped coefficients: the degree pairs i < k - i
-    # once with doubled coefficients, and the middle degree as a square
-    twice = [_doubled(c) for c in coeffs[: len(coeffs) // 2]]
-    out = []
-    for k in range(len(coeffs)):
-        acc: dict = {}
-        for i in range((k + 1) // 2):
-            if coeffs[i] and coeffs[k - i]:
-                _accumulate_product(acc, twice[i], coeffs[k - i])
-        if not k % 2 and coeffs[k // 2]:
-            _accumulate_square(acc, coeffs[k // 2])
-        out.append(_from_raw(acc))
-    return tuple(out)
-
-
-def _doubled(terms: list) -> list:
-    """A grouped term list with every coefficient doubled."""
-    return [(delta, [(e, 2 * c) for e, c in group]) for delta, group in terms]
 
 
 def series_one(max_degree: int) -> CycleSeries:

@@ -3,8 +3,8 @@
 Products of cycle sums and of series accumulate on raw ``(delta, f)`` keys
 and build their results without re-validating them.  These sweeps compare
 that path with answers assembled only from public, validating constructors,
-and the square path, which visits each unordered pair once, with the
-general product.
+and the square path of cycle sums, which visits each unordered pair once,
+with the general product.
 """
 
 import itertools
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from taucycles import cli, cycle_algebra, series, sheaves
+from taucycles import cli, cycle_algebra, sheaves
 from taucycles.combinat import MultVec, partitions
 from taucycles.cycle_algebra import (
     CycleSum,
@@ -27,7 +27,7 @@ from taucycles.cycle_algebra import (
 from taucycles.divisors import Divisor
 from taucycles.errors import ArgumentError, ConsistencyError
 from taucycles.series import CycleSeries
-from taucycles.sheaves import s_constant_rank, s_skyscraper, s_tame
+from taucycles.sheaves import s_skyscraper, s_tame
 
 
 def test_basis_products_match_the_enumeration_oracle():
@@ -204,32 +204,6 @@ def test_cycle_sum_square_matches_the_general_product():
     for x in sums:
         # an equal but distinct right factor takes the general product
         assert x * x == x * CycleSum(x.terms()), x
-
-
-@pytest.mark.parametrize("rank", [1, 2, 3])
-def test_series_square_matches_the_general_product(rank):
-    for drops in (Divisor(), Divisor({"s": 1}), Divisor({"s": rank, "t": 1})):
-        for n in range(8):
-            s = s_tame(rank, drops, n)
-            assert s * s == s * CycleSeries(s.coefficients()), (rank, drops, n)
-
-
-@pytest.fixture
-def undoubled(monkeypatch):
-    """Series squares that count each pair of distinct degrees once, not twice."""
-    monkeypatch.setattr(series, "_doubled", lambda terms: terms)
-    sheaves._constant_rank_verified.cache_clear()
-    yield
-    sheaves._constant_rank_verified.cache_clear()
-
-
-def test_a_wrong_doubling_fails_the_checks(undoubled, capsys):
-    with pytest.raises(ConsistencyError):
-        s_constant_rank(2, 5)
-    assert cli.main(["series", "--rank", "2", "--max-degree", "5"]) == 4
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: constant rank 2: product expansion and closed form disagree")
 
 
 def test_a_wrong_local_factor_fails_the_checks(monkeypatch):

@@ -106,6 +106,32 @@ def test_pow_matches_repeated_mul(s, k):
     assert s**k == by_mul
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_pow_past_the_fold_matches_repeated_mul(order):
+    # exponents above 2 * (order + 1) go through squares of half powers
+    s = s_tame(2, Divisor({"s": 1}), order)
+    by_mul = series_one(order)
+    for k in range(2 * (order + 1) + 8):
+        assert s**k == by_mul, (order, k)
+        by_mul = by_mul * s
+
+
+def test_large_powers_take_logarithmically_many_products(monkeypatch):
+    calls = []
+    mul = CycleSeries.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycleSeries, "__mul__", counted)
+    base = series_one(8) - CycleSeries([CycleSum()] + [tau(Divisor({"s": 1}))] + [CycleSum()] * 7)
+    power = base**10**4
+    # at most 17 fold products below the threshold, then two per halving
+    assert len(calls) <= 17 + 2 * 14
+    assert power.coefficient(1) == tau(Divisor({"s": 1}), coeff=-(10**4))
+
+
 def test_pow_rejects_negative():
     with pytest.raises(ArgumentError):
         series_one(2) ** -1
