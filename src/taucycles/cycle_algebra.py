@@ -57,9 +57,9 @@ class TauBasis:
     @classmethod
     def _trusted(cls, delta: Divisor, e: MultVec) -> "TauBasis":
         self = object.__new__(cls)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "_hash", hash((delta._hash, e._hash)))
+        _set_delta(self, delta)
+        _set_e(self, e)
+        _set_hash(self, hash((delta._hash, e._hash)))
         return self
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -104,6 +104,13 @@ class TauBasis:
 
     def __repr__(self) -> str:
         return f"TauBasis({self.delta!r}, {self.e!r})"
+
+
+# the slot descriptors' setters, bound once: _trusted runs once per output
+# term of a product, and these bypass the __setattr__ that keeps bases immutable
+_set_delta = TauBasis.delta.__set__
+_set_e = TauBasis.e.__set__
+_set_hash = TauBasis._hash.__set__
 
 
 def _format_term(coeff: int, basis: TauBasis) -> str:

@@ -198,26 +198,32 @@ def _sum_items(x: tuple[tuple[str, int], ...], y: tuple[tuple[str, int], ...]) -
     return tuple(sorted(merged.items()))
 
 
-def subdivisors(d: Divisor) -> Iterator[Divisor]:
+def subdivisors(d: Divisor, max_degree: int | None = None) -> Iterator[Divisor]:
     """All divisors bounded by ``d`` pointwise, zero included.
 
     Emitted in a deterministic order graded only by the construction,
-    not by degree.
+    not by degree.  With ``max_degree`` only those of degree at most
+    ``max_degree`` are emitted, in the same order; the walk never enters
+    a branch past the cap, so its cost does not grow with ``d`` beyond it.
     """
-    names = d.support
-    caps = [d.coeff(n) for n in names]
-
-    def walk(i: int, chosen: dict[str, int]) -> Iterator[Divisor]:
-        if i == len(names):
-            yield Divisor(chosen)
-            return
-        for c in range(caps[i] + 1):
-            if c:
-                chosen[names[i]] = c
-            yield from walk(i + 1, chosen)
-            chosen.pop(names[i], None)
-
-    yield from walk(0, {})
+    if max_degree is not None and (
+        not isinstance(max_degree, int) or isinstance(max_degree, bool)
+    ):
+        raise ArgumentError(f"max_degree must be an integer or None, got {max_degree!r}")
+    items = d._items
+    # a depth-first walk on an explicit stack, zero coefficient first at each
+    # point, so the depth of the call stack does not grow with the points
+    budget = d.degree if max_degree is None else max_degree
+    stack = [(0, (), budget)] if budget >= 0 else []
+    while stack:
+        i, chosen, left = stack.pop()
+        if i == len(items):
+            yield Divisor._trusted(chosen)
+            continue
+        name, cap = items[i]
+        for c in range(min(cap, left), 0, -1):
+            stack.append((i + 1, chosen + ((name, c),), left - c))
+        stack.append((i + 1, chosen, left))
 
 
 def divisor_binomial(top: Divisor, bottom: Divisor) -> int:

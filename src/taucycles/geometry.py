@@ -7,7 +7,8 @@ two sides meet again in the index module.
 
 from __future__ import annotations
 
-from .combinat import MultVec, partitions
+from .combinat import MultVec
+from .combinat import partitions  # noqa: F401 - perfbench/tracing.py resolves it by name
 from .divisors import Divisor, subdivisors
 from .errors import ArgumentError, ConsistencyError, PreconditionError
 from .records import SheafDescriptor, _FrozenRecord
@@ -29,8 +30,6 @@ __all__ = [
 VERDICT_EVERYWHERE = "acyclic_everywhere"
 VERDICT_OFF_KF = "acyclic_off_KF"
 VERDICT_NOT_COVERED = "not_covered"
-
-_CERT_ENUM_CAP = 32
 
 
 def _check_genus(genus: int) -> None:
@@ -120,38 +119,33 @@ def _shortest_partition(m: int, max_part: int) -> MultVec:
 def singularity_certificate(
     genus: int, sheaf: SheafDescriptor, n: int
 ) -> tuple[Divisor, MultVec] | None:
-    """Witness for a singular stratum in degree ``n``, if one exists.
+    """Shortest witness for a singular stratum in degree ``n``, if one exists.
 
-    Searches pairs (delta, e) with delta below the drop divisor pointwise
-    and deg(delta) + weight(e) = n, parts of e bounded by the rank, and
-    length of e at most 2g-2.  For n on the degree bound the witness is
-    unique, namely (drops, {rank: 2g-2}); above the bound there is none.
-    Returns None when every candidate is too long, in particular always
-    in genus 0.
+    A witness is a pair (delta, e) with delta below the drop divisor
+    pointwise, deg(delta) + weight(e) = n, parts of e bounded by the rank,
+    and length of e at most 2g-2.  The shortest e has ceil(m / rank) parts
+    for m = n - deg(delta), so the shortest witness takes delta as large as
+    it can be: the drops themselves when n >= deg(drops), and otherwise the
+    subdivisor of degree exactly n with the least canonical text, with e
+    empty.  Either way e is the greedy partition of m into parts of size
+    rank plus one remainder.  For n on the degree bound the witness is
+    (drops, {rank: 2g-2}); above the bound there is none.  Returns None when
+    e is too long, in particular always in genus 0.
     """
     _check_genus(genus)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ArgumentError(f"the symmetric power degree must be a nonnegative integer, got {n!r}")
-    rank = sheaf.rank
-    best: tuple[int, int, str, Divisor, MultVec] | None = None
-    for delta in subdivisors(sheaf.drops):
-        m = n - delta.degree
-        if m < 0:
-            continue
-        e = _shortest_partition(m, rank)
-        if m <= _CERT_ENUM_CAP:
-            lengths = [len(lam) for lam in partitions(m, max_part=rank)]
-            if min(lengths) != e.length:
-                raise ConsistencyError(
-                    f"shortest-partition formula is off for m={m}, rank={rank}: "
-                    f"{e.length} vs {min(lengths)}"
-                )
-        key = (e.length, -delta.degree, delta.canonical_text())
-        if best is None or key < best[:3]:
-            best = (*key, delta, e)
-    if best is None or best[0] > 2 * genus - 2:
+    drops = sheaf.drops
+    if n >= drops.degree:
+        delta = drops
+    else:
+        delta = min(
+            (d for d in subdivisors(drops, n) if d.degree == n), key=Divisor.canonical_text
+        )
+    e = _shortest_partition(n - delta.degree, sheaf.rank)
+    if e.length > 2 * genus - 2:
         return None
-    return (best[3], best[4])
+    return (delta, e)
 
 
 def critical_point(genus: int, sheaf: SheafDescriptor, omega: Divisor) -> Divisor:

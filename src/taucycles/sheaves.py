@@ -168,7 +168,7 @@ def s_skyscraper(multiplicities: Divisor, shifted: bool, max_degree: int) -> Cyc
 def _tame_closed(rank: int, drops: Divisor, max_degree: int) -> CycleSeries:
     shapes = _shape_weights(rank, max_degree)
     # divisors in text order and shapes in item order give the terms in CycleSum order
-    bounded = sorted(subdivisors(drops), key=Divisor.canonical_text)
+    bounded = sorted(subdivisors(drops, max_degree), key=Divisor.canonical_text)
     divisors = [(d, d.degree, divisor_binomial(drops, d)) for d in bounded]
     new = TauBasis._trusted
     coeffs = []

@@ -11,7 +11,10 @@ answer the slow, obvious way, sharing no code with the kernel it checks:
 * ``merge_enumeration`` walks every set partition of the parts, the sum
   that ``sheaves._merge_enumeration`` counts over block sums;
 * ``merge_closure_leq`` and ``coarsenings`` describe the merge order on
-  partitions and on set partitions.
+  partitions and on set partitions;
+* ``singularity_certificate_search`` tries every subdivisor of the drops
+  with a shortest partition found by enumeration, where
+  ``geometry.singularity_certificate`` picks the winner in closed form.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import math
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from taucycles.combinat import MultVec, set_partitions, validate_partition
+from taucycles.combinat import MultVec, partitions, set_partitions, validate_partition
 from taucycles.cycle_algebra import CycleSum, TauBasis
 from taucycles.divisors import Divisor
 from taucycles.errors import ArgumentError
+from taucycles.records import SheafDescriptor
 
 
 def _capped_compositions(caps: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
@@ -156,3 +160,45 @@ def merge_enumeration(parts: tuple[int, ...]) -> CycleSum:
         key = TauBasis(Divisor(), f)
         acc[key] = acc.get(key, 0) + sign * f.factorial_product()
     return CycleSum(acc)
+
+
+@lru_cache(maxsize=None)
+def shortest_partition_oracle(m: int, max_part: int) -> MultVec:
+    """The lexicographically largest of the shortest partitions of ``m``
+    with parts at most ``max_part``, found by listing them all."""
+    lams = list(partitions(m, max_part=max_part))
+    shortest = min(len(lam) for lam in lams)
+    return MultVec.from_partition(max(lam for lam in lams if len(lam) == shortest))
+
+
+@lru_cache(maxsize=None)
+def _all_below(drops: Divisor) -> tuple[tuple[Divisor, int, str], ...]:
+    # every divisor bounded by the drops, with its degree and text
+    out = []
+    for coeffs in itertools.product(*(range(c + 1) for _, c in drops.items())):
+        delta = Divisor(dict(zip(drops.support, coeffs)))
+        out.append((delta, delta.degree, delta.canonical_text()))
+    return tuple(out)
+
+
+def singularity_certificate_search(
+    genus: int, sheaf: SheafDescriptor, n: int
+) -> tuple[Divisor, MultVec] | None:
+    """The witness (delta, e) that minimises (length of e, -deg(delta), text of delta).
+
+    Every delta bounded by the drops is tried, with e the shortest
+    partition of n - deg(delta) into parts at most the rank; the winner
+    counts only if e has at most 2g-2 parts.
+    """
+    best = None
+    for delta, degree, text in _all_below(sheaf.drops):
+        m = n - degree
+        if m < 0:
+            continue
+        e = shortest_partition_oracle(m, sheaf.rank)
+        key = (e.length, -degree, text)
+        if best is None or key < best[0]:
+            best = (key, delta, e)
+    if best is None or best[0][0] > 2 * genus - 2:
+        return None
+    return (best[1], best[2])

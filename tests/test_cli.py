@@ -364,6 +364,33 @@ def test_long_partition_pushforward_exits_cleanly():
     assert proc.stdout.decode().endswith(" + tau[0; 14^1]\n")
 
 
+def test_large_drops_series_is_bounded_by_max_degree():
+    # only subdivisors of degree at most 8 are walked, not all 30001^2
+    proc = subprocess.run(
+        [sys.executable, "-m", "taucycles", "series", "--rank", "30000",
+         "--sing", "s:30000", "--sing", "t:30000"],
+        capture_output=True,
+        env=src_env(),
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+
+
+def test_many_drop_points_do_not_deepen_the_walk():
+    # 1200 points used to recurse once per point past the recursion limit
+    sings = [arg for i in range(1200) for arg in ("--sing", f"p{i}:1")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "taucycles", "series", "--rank", "1", *sings, "--max-degree", "0"],
+        capture_output=True,
+        env=src_env(),
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout == b"1\n"
+
+
 def test_closed_stdout_exits_zero_without_traceback():
     # about 170 kB of output, well past a 64 kB pipe buffer, so the
     # process is still writing when the reader goes away

@@ -102,6 +102,17 @@ def test_subdivisor_count(d):
     assert all(sub.leq(d) for sub in subs)
 
 
+@given(divisors, st.integers(-1, 10))
+def test_capped_walk_is_the_filtered_walk(d, k):
+    assert list(subdivisors(d, k)) == [x for x in subdivisors(d) if x.degree <= k]
+
+
+@pytest.mark.parametrize("cap", [1.5, "2", True])
+def test_capped_walk_rejects_a_non_integer_cap(cap):
+    with pytest.raises(ArgumentError):
+        list(subdivisors(Divisor({"s": 2}), cap))
+
+
 def test_divisor_binomial():
     top = Divisor({"s": 3, "t": 1})
     assert divisor_binomial(top, Divisor({"s": 2})) == 3

@@ -1,10 +1,14 @@
 import copy
+import itertools
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import shortest_partition_oracle, singularity_certificate_search
+
+from taucycles import geometry
 from taucycles.combinat import MultVec
 from taucycles.divisors import Divisor
 from taucycles.errors import ArgumentError, ConsistencyError, PreconditionError
@@ -128,6 +132,47 @@ class TestCertificates:
     def test_negative_degree_rejected(self):
         with pytest.raises(ArgumentError):
             singularity_certificate(1, sheaf(1), -1)
+
+    def test_least_text_below_the_drops(self):
+        # degree 2 below drops of degree 4: 1*s + 1*t sorts before 2*s and 2*t
+        s = sheaf(2, {"s": 2, "t": 2})
+        assert singularity_certificate(1, s, 2) == (Divisor({"s": 1, "t": 1}), MultVec())
+        # as text "1*s + 9*t" sorts before "10*s" and "10*t"
+        s = sheaf(10, {"s": 10, "t": 10})
+        assert singularity_certificate(1, s, 10) == (Divisor({"s": 1, "t": 9}), MultVec())
+
+    def test_matches_search_on_grid(self):
+        for genus, s, n in certificate_grid():
+            assert singularity_certificate(genus, s, n) == singularity_certificate_search(
+                genus, s, n
+            ), (genus, s, n)
+
+    def test_no_partition_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("partitions enumerated at run time")
+
+        monkeypatch.setattr(geometry, "partitions", refuse)
+        for genus, s, n in certificate_grid():
+            singularity_certificate(genus, s, n)
+
+    def test_shortest_partition_sweep(self):
+        for rank in range(1, 7):
+            for m in range(33):
+                assert geometry._shortest_partition(m, rank) == shortest_partition_oracle(
+                    m, rank
+                ), (m, rank)
+
+
+def certificate_grid():
+    """Genus 0-5, rank 1-5, drops on at most s, t, u with coefficients up to
+    min(rank, 3), and every degree from 0 to n_F + 4: 27,575 cases."""
+    for genus in range(6):
+        for rank in range(1, 6):
+            cap = min(rank, 3)
+            for coeffs in itertools.product(range(cap + 1), repeat=3):
+                s = sheaf(rank, dict(zip("stu", coeffs)))
+                for n in range(n_f(genus, s) + 5):
+                    yield genus, s, n
 
 
 class TestCriticalPoint:
