@@ -11,21 +11,24 @@ independent routes to those constants are kept side by side:
   sizes as each entry is chosen, and
 * a brute-force enumeration of set partitions, kept as an oracle.
 
-Products work on plain tuples: the terms of each factor are grouped by
-divisor, and the result accumulates on divisor items, then on the items of
-each output vector, before its objects are built once per term.  A square
-visits each unordered pair of terms once, and a power is a fold of
-products by its base.
+A cycle sum is stored raw, as plain tuples grouped by divisor:
+``((delta items, ((e items, coeff), ...)), ...)``, the groups in divisor
+text order and the terms of a group in item order.  Products, sums and
+equality work on that store, and products accumulate on divisor items,
+then on the items of each output vector.  Basis objects are built only
+when the terms are read, to render them for instance.  A square visits
+each unordered pair of terms once, and a power is a fold of products by
+its base.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 
 from .combinat import MultVec, partitions, set_partitions
-from .divisors import Divisor, _sum_items
+from .divisors import Divisor, _sum_items, subdivisors
 from .errors import ArgumentError, exact_div
 
 __all__ = [
@@ -126,54 +129,60 @@ class CycleSum:
     """Finite integer combination of basis cycles.
 
     Supports ring arithmetic and renders deterministically; terms are
-    kept sorted by divisor text, then by multiplicity vector.
+    kept sorted by divisor text, then by multiplicity vector.  The store
+    is raw, ``((delta items, ((e items, coeff), ...)), ...)``: one group
+    per divisor, no empty group, no zero coefficient.  ``terms()`` builds
+    the basis objects afresh on each call.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_raw",)
 
     def __init__(self, terms: Mapping[TauBasis, int] | Iterable[tuple[TauBasis, int]] = ()):
         pairs = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[TauBasis, int] = {}
+        acc: dict = {}
         for basis, coeff in pairs:
             if not isinstance(basis, TauBasis):
                 raise ArgumentError(f"expected TauBasis keys, got {type(basis).__name__}")
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise ArgumentError(f"coefficients must be integers, got {coeff!r}")
-            total = merged.get(basis, 0) + coeff
-            if total:
-                merged[basis] = total
-            else:
-                merged.pop(basis, None)
-        self._terms: tuple[tuple[TauBasis, int], ...] = _sorted_terms(merged)
+            sub = acc.setdefault(basis.delta._items, {})
+            sub[basis.e._items] = sub.get(basis.e._items, 0) + coeff
+        self._raw: tuple = _from_raw(acc)
 
     @classmethod
-    def _trusted(cls, terms: tuple[tuple[TauBasis, int], ...]) -> "CycleSum":
-        # terms: sorted, distinct bases, nonzero integer coefficients
+    def _trusted(cls, raw: tuple) -> "CycleSum":
+        # raw: a canonical store, as _from_raw returns it
         self = object.__new__(cls)
-        self._terms = terms
+        self._raw = raw
         return self
 
     @classmethod
     def zero(cls) -> "CycleSum":
-        return cls()
+        return cls._trusted(())
 
     def terms(self) -> tuple[tuple[TauBasis, int], ...]:
-        return self._terms
+        new = TauBasis._trusted
+        out: list = []
+        for d, group in self._raw:
+            delta = Divisor._trusted(d)
+            out += [(new(delta, MultVec._trusted(f)), c) for f, c in group]
+        return tuple(out)
 
     def coeff(self, basis: TauBasis) -> int:
-        for b, c in self._terms:
-            if b == basis:
-                return c
+        for d, group in self._raw:
+            if d == basis.delta._items:
+                return dict(group).get(basis.e._items, 0)
         return 0
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._raw
 
     def grades(self) -> tuple[int, ...]:
-        return tuple(sorted({b.grade for b, _ in self._terms}))
+        return tuple(sorted({_grade(d, f) for d, group in self._raw for f, _ in group}))
 
     def grade_part(self, k: int) -> "CycleSum":
-        return CycleSum._trusted(tuple((b, c) for b, c in self._terms if b.grade == k))
+        groups = ((d, tuple(t for t in group if _grade(d, t[0]) == k)) for d, group in self._raw)
+        return CycleSum._trusted(tuple((d, group) for d, group in groups if group))
 
     def is_homogeneous(self) -> bool:
         return len(self.grades()) <= 1
@@ -181,14 +190,16 @@ class CycleSum:
     def __add__(self, other: "CycleSum") -> "CycleSum":
         if not isinstance(other, CycleSum):
             return NotImplemented
-        if not other._terms:
+        if not other._raw:
             return self
-        if not self._terms:
+        if not self._raw:
             return other
-        merged = dict(self._terms)
-        for b, c in other._terms:
-            merged[b] = merged.get(b, 0) + c
-        return CycleSum._trusted(_sorted_terms({b: c for b, c in merged.items() if c}))
+        acc = {d: dict(group) for d, group in self._raw}
+        for d, group in other._raw:
+            sub = acc.setdefault(d, {})
+            for f, c in group:
+                sub[f] = sub.get(f, 0) + c
+        return CycleSum._trusted(_from_raw(acc))
 
     def __sub__(self, other: "CycleSum") -> "CycleSum":
         if not isinstance(other, CycleSum):
@@ -196,14 +207,18 @@ class CycleSum:
         return self + (-other)
 
     def __neg__(self) -> "CycleSum":
-        return CycleSum._trusted(tuple((b, -c) for b, c in self._terms))
+        return self._times(-1)
 
     def scale(self, k: int) -> "CycleSum":
         if not isinstance(k, int) or isinstance(k, bool):
             raise ArgumentError(f"scalars are integers, got {k!r}")
-        if not k:
-            return CycleSum()
-        return CycleSum._trusted(tuple((b, k * c) for b, c in self._terms))
+        return self._times(k) if k else CycleSum.zero()
+
+    def _times(self, k: int) -> "CycleSum":
+        # k is nonzero, so no coefficient vanishes and the order stays
+        return CycleSum._trusted(
+            tuple((d, tuple((f, k * c) for f, c in group)) for d, group in self._raw)
+        )
 
     def __rmul__(self, k: int) -> "CycleSum":
         if isinstance(k, int) and not isinstance(k, bool):
@@ -217,10 +232,10 @@ class CycleSum:
             return NotImplemented
         acc: dict = {}
         if other is self:
-            _accumulate_square(acc, _grouped(self._terms))
+            _accumulate_square(acc, self._raw)
         else:
-            _accumulate_product(acc, _grouped(self._terms), _grouped(other._terms))
-        return _from_raw(acc)
+            _accumulate_product(acc, self._raw, other._raw)
+        return CycleSum._trusted(_from_raw(acc))
 
     def __pow__(self, k: int) -> "CycleSum":
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -233,15 +248,16 @@ class CycleSum:
         return out
 
     def render(self) -> str:
-        if not self._terms:
+        terms = self.terms()
+        if not terms:
             return "0"
-        if all(c < 0 for _, c in self._terms):
-            inner = " + ".join(_format_term(-c, b) for b, c in self._terms)
-            if len(self._terms) == 1:
+        if all(c < 0 for _, c in terms):
+            inner = " + ".join(_format_term(-c, b) for b, c in terms)
+            if len(terms) == 1:
                 return "-" + inner
             return f"-({inner})"
         pieces: list[str] = []
-        for i, (b, c) in enumerate(self._terms):
+        for i, (b, c) in enumerate(terms):
             body = _format_term(abs(c), b)
             if i == 0:
                 pieces.append(body if c > 0 else "-" + body)
@@ -250,10 +266,11 @@ class CycleSum:
         return "".join(pieces)
 
     def latex(self) -> str:
-        if not self._terms:
+        terms = self.terms()
+        if not terms:
             return "0"
         pieces: list[str] = []
-        for i, (b, c) in enumerate(self._terms):
+        for i, (b, c) in enumerate(terms):
             mag = abs(c)
             body = b.latex()
             if body == "1":
@@ -269,35 +286,21 @@ class CycleSum:
         return "".join(pieces)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, CycleSum) and self._terms == other._terms
+        return isinstance(other, CycleSum) and self._raw == other._raw
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        return hash(self._raw)
 
     def __repr__(self) -> str:
         return f"CycleSum<{self.render()}>"
 
 
-def _sorted_terms(merged: dict[TauBasis, int]) -> tuple[tuple[TauBasis, int], ...]:
-    return tuple(sorted(merged.items(), key=lambda kv: kv[0].sort_key()))
+def _grade(delta: tuple, e: tuple) -> int:
+    return sum(c for _, c in delta) + sum(s * c for s, c in e)
 
 
-def _grouped(terms: tuple[tuple[TauBasis, int], ...]) -> list:
-    """Sorted terms as ``(delta items, [(e items, coeff), ...])`` runs, one per divisor."""
-    out: list = []
-    last = None
-    for b, c in terms:
-        delta = b.delta.items()
-        if delta != last:
-            group: list = []
-            out.append((delta, group))
-            last = delta
-        group.append((b.e.items(), c))
-    return out
-
-
-def _accumulate_product(acc: dict, left: list, right: list) -> None:
-    """Add the product of two grouped term lists into ``acc``: delta items -> f items -> coeff."""
+def _accumulate_product(acc: dict, left: tuple, right: tuple) -> None:
+    """Add the product of two raw stores into ``acc``: delta items -> f items -> coeff."""
     constants = _structure_constants_items
     for d1, group1 in left:
         for d2, group2 in right:
@@ -313,8 +316,8 @@ def _accumulate_product(acc: dict, left: list, right: list) -> None:
                         sub[f] = get(f, 0) + c * n
 
 
-def _accumulate_square(acc: dict, terms: list) -> None:
-    """Add the square of a grouped term list into ``acc``, as ``_accumulate_product`` does.
+def _accumulate_square(acc: dict, terms: tuple) -> None:
+    """Add the square of a raw store into ``acc``, as ``_accumulate_product`` does.
 
     The product is commutative, so each unordered pair of terms is visited
     once: a term times itself with its own coefficient, two distinct terms
@@ -344,15 +347,25 @@ def _accumulate_square(acc: dict, terms: list) -> None:
                         sub[f] = get(f, 0) + c * n
 
 
-def _from_raw(acc: dict) -> CycleSum:
-    """The sum of ``c * tau[delta; f]`` over ``acc``, one Divisor per distinct delta."""
-    terms = []
-    new = TauBasis._trusted
-    for delta in sorted(map(Divisor._trusted, acc), key=Divisor.canonical_text):
-        for f, c in sorted(acc[delta.items()].items()):
-            if c:
-                terms.append((new(delta, MultVec._trusted(f)), c))
-    return CycleSum._trusted(tuple(terms))
+@lru_cache(maxsize=4096)
+def _text(delta: tuple) -> str:
+    # the canonical text of the divisor with these items, which orders the groups
+    return Divisor._trusted(delta).canonical_text()
+
+
+def _from_raw(acc: dict) -> tuple:
+    """The canonical store of the sum over ``acc``, delta items -> f items -> coeff."""
+    out = []
+    for delta in sorted(acc, key=_text):
+        group = tuple(sorted((f, c) for f, c in acc[delta].items() if c))
+        if group:
+            out.append((delta, group))
+    return tuple(out)
+
+
+def _monomial(delta: tuple, e: tuple, coeff: int) -> CycleSum:
+    # coeff * tau[delta; e] from valid items and a nonzero coefficient
+    return CycleSum._trusted(((delta, ((e, coeff),)),))
 
 
 def tau(delta: Divisor | None = None, e: MultVec | None = None, coeff: int = 1) -> CycleSum:
@@ -368,7 +381,7 @@ def tau_multiset(delta: Divisor | None = None, e: MultVec | None = None) -> Cycl
 
 
 def unit() -> CycleSum:
-    return tau()
+    return _monomial((), (), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -508,25 +521,12 @@ def basis_of_grade(k: int, points: Iterable[str]) -> list[TauBasis]:
     if k < 0:
         raise ArgumentError(f"grade must be nonnegative, got {k}")
     names = sorted(set(points))
-    out: list[TauBasis] = []
-
-    def divisors_of_degree(d: int) -> Iterator[Divisor]:
-        def walk(i: int, left: int, acc: dict[str, int]) -> Iterator[Divisor]:
-            if i == len(names):
-                if left == 0:
-                    yield Divisor(acc)
-                return
-            for c in range(left + 1):
-                if c:
-                    acc[names[i]] = c
-                yield from walk(i + 1, left - c, acc)
-                acc.pop(names[i], None)
-
-        yield from walk(0, d, {})
-
-    for d in range(k + 1):
-        for delta in divisors_of_degree(d):
-            for lam in partitions(k - d):
-                out.append(TauBasis(delta, MultVec.from_partition(lam)))
+    # one walk on an explicit stack, so the call depth does not grow with the points
+    top = Divisor({name: k for name in names})
+    out = [
+        TauBasis(delta, MultVec.from_partition(lam))
+        for delta in subdivisors(top, k)
+        for lam in partitions(k - delta.degree)
+    ]
     out.sort(key=TauBasis.sort_key)
     return out

@@ -217,7 +217,7 @@ def subdivisors(d: Divisor, max_degree: int | None = None) -> Iterator[Divisor]:
     stack = [(0, (), budget)] if budget >= 0 else []
     while stack:
         i, chosen, left = stack.pop()
-        if i == len(items):
+        if i == len(items) or not left:  # the points left all take zero
             yield Divisor._trusted(chosen)
             continue
         name, cap = items[i]

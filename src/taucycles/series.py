@@ -9,14 +9,15 @@ square of ``A^(k//2)``, times ``A`` if ``k`` is odd, so a power takes
 ``O(N + log k)`` products.  The inverse of a series ``A`` with ``A_0 = 1``
 is the power-series reciprocal, one pass of the recurrence ``B_0 = 1``,
 ``B_k = -sum_{i=1..k} A_i B_{k-i}`` (Knuth, TAOCP vol. 2, 4.7): about the
-work of one Cauchy product.
+work of one Cauchy product.  Products and the inverse read and build the
+raw stores of the cycle sums directly, so no basis object is made.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .cycle_algebra import CycleSum, _accumulate_product, _from_raw, _grouped, unit
+from .cycle_algebra import CycleSum, _accumulate_product, _from_raw, unit
 from .errors import ArgumentError
 
 __all__ = ["CycleSeries", "series_one", "series_inverse"]
@@ -92,15 +93,15 @@ class CycleSeries:
         if not isinstance(other, CycleSeries):
             return NotImplemented
         self._check_same_order(other)
-        left = [_grouped(c.terms()) for c in self._coeffs]
-        right = left if other is self else [_grouped(c.terms()) for c in other._coeffs]
+        left = [c._raw for c in self._coeffs]
+        right = [c._raw for c in other._coeffs]
         out = []
         for k in range(self.max_degree + 1):
             acc: dict = {}
             for i in range(k + 1):
                 if left[i] and right[k - i]:
                     _accumulate_product(acc, left[i], right[k - i])
-            out.append(_from_raw(acc))
+            out.append(CycleSum._trusted(_from_raw(acc)))
         return CycleSeries._trusted(tuple(out))
 
     def __pow__(self, k: int) -> "CycleSeries":
@@ -155,14 +156,12 @@ def series_inverse(series: CycleSeries) -> CycleSeries:
     """Inverse of a series with constant coefficient one, truncated at its order."""
     if series.coefficient(0) != unit():
         raise ArgumentError("only series with constant coefficient 1 are invertible here")
-    a = [_grouped(c.terms()) for c in series.coefficients()]
-    b = [a[0]]
+    a = [c._raw for c in series.coefficients()]
     out = [unit()]
     for k in range(1, len(a)):
         acc: dict = {}
         for i in range(1, k + 1):
-            if a[i] and b[k - i]:
-                _accumulate_product(acc, a[i], b[k - i])
-        out.append(-_from_raw(acc))
-        b.append(_grouped(out[k].terms()))
+            if a[i] and out[k - i]._raw:
+                _accumulate_product(acc, a[i], out[k - i]._raw)
+        out.append(-CycleSum._trusted(_from_raw(acc)))
     return CycleSeries._trusted(tuple(out))

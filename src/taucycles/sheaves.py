@@ -11,6 +11,11 @@ one-part classes.  A partition class is a product of one-part classes
 against the sum over set partitions of its parts, which is counted on
 aggregated states (the multiset of block sums) rather than partition by
 partition.
+
+Both routes build the raw stores of their cycle sums (see
+``cycle_algebra``): the closed forms emit the canonical store directly,
+and the two routes are compared store against store, so a check makes
+no basis object.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .combinat import (
 )
 from .divisors import Divisor, divisor_binomial, subdivisors
 from .errors import ArgumentError, ConsistencyError, PreconditionError
-from .cycle_algebra import CycleSum, TauBasis, _sorted_terms, tau
+from .cycle_algebra import CycleSum, _from_raw, _monomial, unit
 from .records import SheafDescriptor
 from .series import CycleSeries, series_one
 
@@ -47,14 +52,10 @@ def _check_order(max_degree: int) -> None:
         raise ArgumentError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
 
 
-def _raw_terms(s: CycleSum) -> tuple:
-    # (delta items, e items, coeff) per term: equal exactly when the sums are
-    return tuple((b.delta._items, b.e._items, c) for b, c in s.terms())
-
-
 def _assert_match(product_route: CycleSeries, closed_route: CycleSeries, label: str) -> CycleSeries:
     for n in range(closed_route.max_degree + 1):
-        if _raw_terms(product_route.coefficient(n)) != _raw_terms(closed_route.coefficient(n)):
+        # the raw stores are canonical, so they are equal exactly when the sums are
+        if product_route.coefficient(n)._raw != closed_route.coefficient(n)._raw:
             raise ConsistencyError(
                 f"{label}: product expansion and closed form disagree at degree {n}: "
                 f"{product_route.coefficient(n).render()} vs {closed_route.coefficient(n).render()}"
@@ -64,11 +65,10 @@ def _assert_match(product_route: CycleSeries, closed_route: CycleSeries, label: 
 
 def _point_linear_factor(name: str, max_degree: int) -> CycleSeries:
     # 1 - tau[s;], the building block of every local factor
-    coeffs = [CycleSum.zero() for _ in range(max_degree + 1)]
-    coeffs[0] = tau()
+    coeffs = [unit()] + [CycleSum.zero()] * max_degree
     if max_degree >= 1:
-        coeffs[1] = tau(Divisor.point(name), coeff=-1)
-    return CycleSeries(coeffs)
+        coeffs[1] = _monomial(((name, 1),), (), -1)
+    return CycleSeries._trusted(tuple(coeffs))
 
 
 def _local_factors(points: Divisor, max_degree: int) -> CycleSeries:
@@ -81,19 +81,19 @@ def _local_factors(points: Divisor, max_degree: int) -> CycleSeries:
 
 
 @lru_cache(maxsize=64)
-def _shape_weights(rank: int, max_degree: int) -> tuple[tuple[tuple[MultVec, int], ...], ...]:
-    # by weight n <= max_degree, every e with parts at most the rank, sorted,
-    # and its weight prod_i binom(rank, i)^{e_i}
+def _shape_weights(rank: int, max_degree: int) -> tuple[tuple[tuple[tuple, int], ...], ...]:
+    # by weight n <= max_degree, the items of every e with parts at most the
+    # rank, sorted, and its weight prod_i binom(rank, i)^{e_i}
     out = []
     for n in range(max_degree + 1):
         shapes = []
         for lam in partitions(n, max_part=rank):
-            e = MultVec.from_partition(lam)
+            e = MultVec.from_partition(lam).items()
             weight = 1
-            for size, count in e.items():
+            for size, count in e:
                 weight *= math.comb(rank, size) ** count
             shapes.append((e, weight))
-        out.append(tuple(sorted(shapes, key=lambda pair: pair[0].items())))
+        out.append(tuple(sorted(shapes)))
     return tuple(out)
 
 
@@ -102,7 +102,7 @@ def _constant_rank_closed(rank: int, max_degree: int) -> CycleSeries:
     return _tame_closed(rank, Divisor(), max_degree)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _constant_rank_verified(rank: int, max_degree: int) -> CycleSeries:
     closed = _constant_rank_closed(rank, max_degree)
     power_route = _constant_rank_closed(1, max_degree) ** rank
@@ -131,19 +131,16 @@ def _skyscraper_closed(multiplicities: Divisor, shifted: bool, max_degree: int) 
         [math.comb(m, k) if shifted else gen_binomial(-m, k) for k in range(max_degree + 1)]
         for _, m in multiplicities.items()
     ]
-    empty = MultVec()
     coeffs = []
     for n in range(max_degree + 1):
-        acc: dict[TauBasis, int] = {}
+        acc: dict[tuple, dict] = {}
         sign = -1 if n % 2 else 1
         for comp in compositions_fixed_length(n, len(names)):
             c = sign
             for row, k in zip(factors, comp):
                 c *= row[k]
-            if c:
-                d = Divisor._trusted(tuple((name, k) for name, k in zip(names, comp) if k))
-                acc[TauBasis._trusted(d, empty)] = c
-        coeffs.append(CycleSum._trusted(_sorted_terms(acc)))
+            acc[tuple((name, k) for name, k in zip(names, comp) if k)] = {(): c}
+        coeffs.append(CycleSum._trusted(_from_raw(acc)))
     return CycleSeries._trusted(tuple(coeffs))
 
 
@@ -167,17 +164,15 @@ def s_skyscraper(multiplicities: Divisor, shifted: bool, max_degree: int) -> Cyc
 
 def _tame_closed(rank: int, drops: Divisor, max_degree: int) -> CycleSeries:
     shapes = _shape_weights(rank, max_degree)
-    # divisors in text order and shapes in item order give the terms in CycleSum order
+    # divisors in text order and shapes in item order give the canonical store
     bounded = sorted(subdivisors(drops, max_degree), key=Divisor.canonical_text)
-    divisors = [(d, d.degree, divisor_binomial(drops, d)) for d in bounded]
-    new = TauBasis._trusted
+    divisors = [(d.items(), d.degree, divisor_binomial(drops, d)) for d in bounded]
     coeffs = []
     for n in range(max_degree + 1):
         sign = -1 if n % 2 else 1
         coeffs.append(CycleSum._trusted(tuple(
-            (new(d, e), sign * base * weight)
+            (d, tuple((e, sign * base * weight) for e, weight in shapes[n - degree]))
             for d, degree, base in divisors if degree <= n
-            for e, weight in shapes[n - degree]
         )))
     return CycleSeries._trusted(tuple(coeffs))
 
@@ -225,16 +220,13 @@ def pushforward_composition(mu: tuple[int, ...]) -> CycleSum:
             raise ArgumentError(f"composition entries must be positive integers, got {p!r}")
     n = sum(parts)
     sign = -1 if n % 2 else 1
-    acc: dict[TauBasis, int] = {}
-    for lam in partitions(n):
-        c = count_m(lam, parts)
-        if c:
-            acc[TauBasis(Divisor(), MultVec.from_partition(lam))] = sign * c
-    matrix_route = CycleSum(acc)
-    fold_route = tau()
+    counts = {
+        MultVec.from_partition(lam).items(): sign * count_m(lam, parts) for lam in partitions(n)
+    }
+    matrix_route = CycleSum._trusted(_from_raw({(): counts}))
+    fold_route = unit()
     for p in parts:
-        factor = tau(None, MultVec({1: p}), coeff=-1 if p % 2 else 1)
-        fold_route = fold_route * factor
+        fold_route = fold_route * _monomial((), ((1, p),), -1 if p % 2 else 1)
     if matrix_route != fold_route:
         raise ConsistencyError(
             f"composition pushforward of {parts}: matrix count and factor product disagree: "
@@ -275,11 +267,11 @@ def _block_sum_counts(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 def _merge_enumeration(parts: tuple[int, ...]) -> CycleSum:
     sign = -1 if len(parts) % 2 else 1
-    acc: dict[TauBasis, int] = {}
+    merged: dict[tuple, int] = {}
     for sums, count in _block_sum_counts(parts).items():
         f = MultVec.from_partition(sums)
-        acc[TauBasis(Divisor(), f)] = sign * f.factorial_product() * count
-    return CycleSum(acc)
+        merged[f.items()] = sign * f.factorial_product() * count
+    return CycleSum._trusted(_from_raw({(): merged}))
 
 
 _PARTITION_ENUM_CAP = 8  # the most parts whose merge sum is checked against the fold
@@ -308,9 +300,9 @@ def pushforward_partition(lam: tuple[int, ...], base_char: int = 0) -> CycleSum:
                 raise PreconditionError(
                     f"part {p} is not invertible in characteristic {base_char}"
                 )
-    fold_route = tau()
+    fold_route = unit()
     for p in parts:
-        fold_route = fold_route * tau(None, MultVec({p: 1}), coeff=-1)
+        fold_route = fold_route * _monomial((), ((p, 1),), -1)
     if len(parts) <= _PARTITION_ENUM_CAP:
         merge_route = _merge_enumeration(parts)
         if merge_route != fold_route:

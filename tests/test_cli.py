@@ -391,6 +391,22 @@ def test_many_drop_points_do_not_deepen_the_walk():
     assert proc.stdout == b"1\n"
 
 
+def test_strata_on_many_points_does_not_deepen_the_walk():
+    # 1200 points used to recurse once per point past the recursion limit
+    points = ",".join(f"p{i}" for i in range(1200))
+    proc = subprocess.run(
+        [sys.executable, "-m", "taucycles", "strata", "--grade", "1", "--points", points],
+        capture_output=True,
+        env=src_env(),
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    lines = proc.stdout.decode().splitlines()
+    assert len(lines) == 1201
+    assert lines[0] == "tau[0; 1^1]"
+
+
 def test_closed_stdout_exits_zero_without_traceback():
     # about 170 kB of output, well past a 64 kB pipe buffer, so the
     # process is still writing when the reader goes away
