@@ -11,7 +11,8 @@ functions (Macdonald, I (6.6)).  Its memoised recursion fills one column
 at a time.  Rows of equal sum are picked as a group, one binomial per
 group, and the rows left over come out already in descending order, so
 no state is sorted.  Exhaustive oracles for these counts live with the
-tests.
+tests.  The public functions check their arguments; the underscored
+helpers take values valid by construction and check nothing.
 """
 
 from __future__ import annotations
@@ -79,10 +80,7 @@ class MultVec:
 
     @classmethod
     def from_partition(cls, parts: Iterable[int]) -> "MultVec":
-        out: dict[int, int] = {}
-        for p in validate_partition(parts):
-            out[p] = out.get(p, 0) + 1
-        return cls._trusted(tuple(sorted(out.items())))
+        return cls._trusted(_partition_items(validate_partition(parts)))
 
     @classmethod
     def parse(cls, text: str) -> "MultVec":
@@ -129,10 +127,7 @@ class MultVec:
 
     def factorial_product(self) -> int:
         """Product of the factorials of the counts."""
-        out = 1
-        for _, c in self._items:
-            out *= math.factorial(c)
-        return out
+        return _factorial_product(self._items)
 
     def to_partition(self) -> tuple[int, ...]:
         parts: list[int] = []
@@ -179,13 +174,31 @@ def conjugate(parts: Iterable[int]) -> tuple[int, ...]:
     >>> conjugate((3, 1))
     (2, 1, 1)
     """
-    lam = validate_partition(parts)
-    if not lam:
-        return ()
-    out = [0] * lam[0]
-    for p in lam:
-        for i in range(p):
-            out[i] += 1
+    return _conjugate(validate_partition(parts))
+
+
+def _partition_items(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    out: dict[int, int] = {}  # the items of weakly decreasing positive parts, unchecked
+    for p in reversed(parts):  # ascending, so the items come out sorted
+        out[p] = out.get(p, 0) + 1
+    return tuple(out.items())
+
+
+def _factorial_product(items: tuple[tuple[int, int], ...]) -> int:
+    out = 1
+    for _, c in items:
+        out *= math.factorial(c)
+    return out
+
+
+def _conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
+    # the transpose of weakly decreasing positive parts, unchecked: columns
+    # lam[j] + 1 to lam[j - 1] (counting from 1) are exactly j rows long
+    out: list[int] = []
+    below = 0
+    for j in range(len(lam), 0, -1):
+        out.extend([j] * (lam[j - 1] - below))
+        below = lam[j - 1]
     return tuple(out)
 
 
@@ -227,12 +240,15 @@ def compositions(n: int) -> Iterator[tuple[int, ...]]:
     """Ordered sequences of positive integers summing to ``n``."""
     if n < 0:
         raise ArgumentError(f"cannot compose a negative integer {n}")
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first,) + rest
+    # lexicographic successors from (1, ..., 1), with no frame per part: the
+    # last part gives one to the part before and comes back as ones
+    parts = [1] * n
+    yield tuple(parts)
+    while len(parts) > 1:
+        last = parts.pop()
+        parts[-1] += 1
+        parts.extend([1] * (last - 1))
+        yield tuple(parts)
 
 
 def compositions_fixed_length(n: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -243,9 +259,17 @@ def compositions_fixed_length(n: int, length: int) -> Iterator[tuple[int, ...]]:
         if n == 0:
             yield ()
         return
-    for first in range(n + 1):
-        for rest in compositions_fixed_length(n - first, length - 1):
-            yield (first,) + rest
+    # lexicographic successors from (0, ..., 0, n): the last nonzero entry
+    # j > 0 gives one to entry j - 1 and moves the rest to the end
+    parts = [0] * (length - 1) + [n]
+    while True:
+        yield tuple(parts)
+        j = length - 1
+        while j and not parts[j]:
+            j -= 1
+        if not j:
+            return
+        parts[j - 1], parts[j], parts[-1] = parts[j - 1] + 1, 0, parts[j] - 1
 
 
 def count_m(lam: Iterable[int], mu: Iterable[int]) -> int:

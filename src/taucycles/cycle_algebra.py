@@ -23,11 +23,10 @@ its base.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 
-from .combinat import MultVec, partitions, set_partitions
+from .combinat import MultVec, _factorial_product, partitions, set_partitions
 from .divisors import Divisor, _sum_items, subdivisors
 from .errors import ArgumentError, exact_div
 
@@ -431,13 +430,6 @@ def _structure_constants_items(
     return tuple(
         (f, exact_div(_factorial_product(f) * raw, scale)) for f, raw in sorted(numerators.items())
     )
-
-
-def _factorial_product(items: tuple[tuple[int, int], ...]) -> int:
-    out = 1
-    for _, c in items:
-        out *= math.factorial(c)
-    return out
 
 
 def structure_constants(e: MultVec, e_prime: MultVec) -> dict[MultVec, int]:

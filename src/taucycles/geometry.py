@@ -7,9 +7,11 @@ two sides meet again in the index module.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .combinat import MultVec
 from .combinat import partitions  # noqa: F401 - perfbench/tracing.py resolves it by name
-from .divisors import Divisor, subdivisors
+from .divisors import Divisor
 from .errors import ArgumentError, ConsistencyError, PreconditionError
 from .records import SheafDescriptor, _FrozenRecord
 
@@ -110,10 +112,30 @@ def acyclicity(
 
 def _shortest_partition(m: int, max_part: int) -> MultVec:
     q, rem = divmod(m, max_part)
-    counts = {max_part: q}
-    if rem:
-        counts[rem] = counts.get(rem, 0) + 1
-    return MultVec(counts)
+    # rem < max_part, so the items come sorted
+    return MultVec._trusted(((rem, 1),) * (rem > 0) + ((max_part, q),) * (q > 0))
+
+
+def _least_text_below(drops: Divisor, n: int) -> Divisor:
+    # The least-text divisor of degree n below the drops, built term by term: the
+    # least c*name whose later points can carry the rest.  Terms are compared with
+    # the " " after them, since a longer name may go on with a character below it.
+    items = drops.items()
+    # room[j]: the degree points j, j+1, ... can carry; the -1 past the end ends a scan
+    room = list(accumulate([cap for _, cap in reversed(items)], initial=0))[::-1] + [-1]
+    chosen, i, left = [], 0, n
+    while left:
+        # point i takes lo, or the least power of ten above it, whichever reads less
+        lo, hi = max(1, left - room[i + 1]), min(items[i][1], left)
+        top = 10 ** len(str(lo))
+        c = min(lo, top, key=str) if top <= hi else lo
+        stop = i + 1  # a later point can take c only if c = 1, and beat i only by a longer name
+        while left > 1 and room[stop + 1] >= left - 1 and items[stop][0].startswith(items[i][0]):
+            stop += 1
+        j = min(range(i, stop), key=lambda k: items[k][0] + " ")
+        chosen.append((items[j][0], c))
+        i, left = j + 1, left - c
+    return Divisor._trusted(tuple(chosen))
 
 
 def singularity_certificate(
@@ -136,12 +158,7 @@ def singularity_certificate(
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ArgumentError(f"the symmetric power degree must be a nonnegative integer, got {n!r}")
     drops = sheaf.drops
-    if n >= drops.degree:
-        delta = drops
-    else:
-        delta = min(
-            (d for d in subdivisors(drops, n) if d.degree == n), key=Divisor.canonical_text
-        )
+    delta = drops if n >= drops.degree else _least_text_below(drops, n)
     e = _shortest_partition(n - delta.degree, sheaf.rank)
     if e.length > 2 * genus - 2:
         return None

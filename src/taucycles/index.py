@@ -14,7 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .combinat import MultVec, _count_binary_matrices, conjugate, gen_binomial, partitions
+from .combinat import _conjugate, _count_binary_matrices, _factorial_product, _partition_items
+from .combinat import gen_binomial, partitions
 from .combinat import compositions  # noqa: F401 - perfbench/tracing.py resolves it by name
 from .errors import ArgumentError, ConsistencyError, exact_div
 
@@ -73,7 +74,7 @@ def _verified_matrix(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[i
     # partitions and their conjugates are descending without zeros, the
     # form the count recursion takes, so the checks of count_m are skipped
     matrix = tuple(
-        tuple([_count_binary_matrices(rows, mu) for mu in lams]) for rows in map(conjugate, lams)
+        tuple([_count_binary_matrices(rows, mu) for mu in lams]) for rows in map(_conjugate, lams)
     )
     for i in range(len(lams)):
         if matrix[i][i] != 1:
@@ -94,7 +95,7 @@ def _chi_product(chi_values: list[int], parts: tuple[int, ...], n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _infer_degrees_cached(genus: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     chi_values = chi_sym_powers(2 - 2 * genus, n)
     lams, matrix = _verified_matrix(n)
@@ -106,11 +107,11 @@ def _infer_degrees_cached(genus: int, n: int) -> tuple[tuple[tuple[int, ...], in
         y.append(val)
     degrees = {}
     for mu, solved in zip(lams, y):
-        lam = conjugate(mu)
+        lam = _conjugate(mu)
         falling = 1
         for k in range(len(lam)):
             falling *= 2 * genus - 2 - k
-        closed = exact_div(falling, MultVec.from_partition(lam).factorial_product())
+        closed = exact_div(falling, _factorial_product(_partition_items(lam)))
         if solved != closed:
             raise ConsistencyError(
                 f"stratum degree at genus {genus} for {lam}: triangular solve gives {solved}, "

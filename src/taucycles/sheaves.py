@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from . import combinat
 from .combinat import (
-    MultVec,
+    _factorial_product,
+    _partition_items,
     compositions_fixed_length,
-    count_m,
     gen_binomial,
     partitions,
     validate_partition,
@@ -88,7 +89,7 @@ def _shape_weights(rank: int, max_degree: int) -> tuple[tuple[tuple[tuple, int],
     for n in range(max_degree + 1):
         shapes = []
         for lam in partitions(n, max_part=rank):
-            e = MultVec.from_partition(lam).items()
+            e = _partition_items(lam)
             weight = 1
             for size, count in e:
                 weight *= math.comb(rank, size) ** count
@@ -220,9 +221,9 @@ def pushforward_composition(mu: tuple[int, ...]) -> CycleSum:
             raise ArgumentError(f"composition entries must be positive integers, got {p!r}")
     n = sum(parts)
     sign = -1 if n % 2 else 1
-    counts = {
-        MultVec.from_partition(lam).items(): sign * count_m(lam, parts) for lam in partitions(n)
-    }
+    # the checks of count_m are made above; the kernel is read at call time, so a patch reaches it
+    count, cols = combinat._count_binary_matrices, tuple(sorted(parts, reverse=True))
+    counts = {_partition_items(lam): sign * count(lam, cols) for lam in partitions(n)}
     matrix_route = CycleSum._trusted(_from_raw({(): counts}))
     fold_route = unit()
     for p in parts:
@@ -249,17 +250,21 @@ def _is_prime(p: int) -> bool:
 def _block_sum_counts(parts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     # descending block sums -> the number of set partitions of the parts
     # with those block sums; part x opens a block or joins one of the c
-    # blocks of some sum b, which makes c partitions from each counted one
+    # blocks of some sum b, which makes c partitions from each counted one.
+    # Parts must come largest first, so a block that x opens is the least.
     states = {(): 1}
     for x in parts:
         grown: dict[tuple[int, ...], int] = {}
         for sums, count in states.items():
-            opened = tuple(sorted(sums + (x,), reverse=True))
+            opened = sums + (x,)
             grown[opened] = grown.get(opened, 0) + count
             for i, b in enumerate(sums):
                 if i and sums[i - 1] == b:
                     continue  # each distinct block sum once, weighted by its c
-                joined = tuple(sorted(sums[:i] + sums[i + 1 :] + (b + x,), reverse=True))
+                k = i  # b + x goes after the sums at least as large, all before b
+                while k and sums[k - 1] < b + x:
+                    k -= 1
+                joined = sums[:k] + (b + x,) + sums[k:i] + sums[i + 1 :]
                 grown[joined] = grown.get(joined, 0) + count * sums.count(b)
         states = grown
     return states
@@ -269,8 +274,8 @@ def _merge_enumeration(parts: tuple[int, ...]) -> CycleSum:
     sign = -1 if len(parts) % 2 else 1
     merged: dict[tuple, int] = {}
     for sums, count in _block_sum_counts(parts).items():
-        f = MultVec.from_partition(sums)
-        merged[f.items()] = sign * f.factorial_product() * count
+        f = _partition_items(sums)
+        merged[f] = sign * _factorial_product(f) * count
     return CycleSum._trusted(_from_raw({(): merged}))
 
 

@@ -14,7 +14,10 @@ answer the slow, obvious way, sharing no code with the kernel it checks:
   partitions and on set partitions;
 * ``singularity_certificate_search`` tries every subdivisor of the drops
   with a shortest partition found by enumeration, where
-  ``geometry.singularity_certificate`` picks the winner in closed form.
+  ``geometry.singularity_certificate`` picks the winner in closed form;
+* ``compositions_recursive`` and ``compositions_fixed_length_recursive``
+  recurse once per part, where the walks in ``combinat`` step from one
+  composition to the next in a list.
 """
 
 from __future__ import annotations
@@ -202,3 +205,24 @@ def singularity_certificate_search(
     if best is None or best[0][0] > 2 * genus - 2:
         return None
     return (best[1], best[2])
+
+
+def compositions_recursive(n: int) -> Iterator[tuple[int, ...]]:
+    """Compositions of ``n``, the first part ascending and then the rest in the same order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions_recursive(n - first):
+            yield (first,) + rest
+
+
+def compositions_fixed_length_recursive(n: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Length-``length`` tuples of nonnegative integers summing to ``n``, in the same order."""
+    if length == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n + 1):
+        for rest in compositions_fixed_length_recursive(n - first, length - 1):
+            yield (first,) + rest

@@ -1,12 +1,21 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coarsenings, count_m_oracle, merge_closure_leq
+from oracles import (
+    coarsenings,
+    compositions_fixed_length_recursive,
+    compositions_recursive,
+    count_m_oracle,
+    merge_closure_leq,
+)
 from taucycles.combinat import (
     MultVec,
+    _conjugate,
+    _partition_items,
     compositions,
     compositions_fixed_length,
     conjugate,
@@ -69,12 +78,45 @@ def test_partition_validation():
         validate_partition((2, 0))
     with pytest.raises(ArgumentError):
         list(partitions(-1))
+    # the public entry points keep their checks in front of the unchecked helpers
+    with pytest.raises(ArgumentError, match="weakly decreasing"):
+        conjugate((1, 2))
+    with pytest.raises(ArgumentError, match="positive integers"):
+        MultVec.from_partition((2, 0))
+    with pytest.raises(ArgumentError, match="weakly decreasing"):
+        count_m((1, 2), (3,))
+
+
+def test_unchecked_helpers_match_the_checked_ones_through_16():
+    for n in range(17):
+        for lam in partitions(n):
+            items = tuple(sorted(Counter(lam).items()))
+            assert _partition_items(lam) == MultVec.from_partition(lam).items() == items, lam
+            columns = tuple(sum(p > k for p in lam) for k in range(lam[0] if lam else 0))
+            assert _conjugate(lam) == conjugate(lam) == columns, lam
 
 
 def test_compositions_count():
     # 2^(n-1) compositions of n
     for n in range(1, 8):
         assert sum(1 for _ in compositions(n)) == 2 ** (n - 1)
+
+
+def test_composition_walks_match_the_recursive_ones():
+    for n in range(11):
+        assert list(compositions(n)) == list(compositions_recursive(n)), n
+        for length in range(7):
+            got = list(compositions_fixed_length(n, length))
+            assert got == list(compositions_fixed_length_recursive(n, length)), (n, length)
+
+
+def test_composition_walks_deeper_than_the_recursion_limit():
+    walk = compositions(1200)
+    assert next(walk) == (1,) * 1200
+    assert next(walk) == (1,) * 1198 + (2,)
+    walk = compositions_fixed_length(1, 1200)
+    assert next(walk) == (0,) * 1199 + (1,)
+    assert next(walk) == (0,) * 1198 + (1, 0)
 
 
 def test_compositions_fixed_length_count():

@@ -8,12 +8,17 @@ either is caught by the cross-check that consumes it, and pin the work
 they do in counts that do not depend on timing.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 
 from oracles import count_binary_matrices_recursion, count_m_oracle, merge_enumeration
-from taucycles import combinat, cycle_algebra, index, sheaves
-from taucycles.combinat import conjugate, partitions
+from taucycles import combinat, cycle_algebra, geometry, index, sheaves
+from taucycles.combinat import MultVec, conjugate, partitions
+from taucycles.divisors import Divisor
 from taucycles.errors import ConsistencyError
+from taucycles.records import SheafDescriptor
 from taucycles.sheaves import _merge_enumeration, pushforward_composition, pushforward_partition
 
 COUNT = combinat._count_binary_matrices  # the memoised kernel, kept past any monkeypatch
@@ -113,3 +118,34 @@ def test_partition_pushforward_lists_no_set_partitions(monkeypatch):
     for n in range(13):
         for lam in partitions(n):
             pushforward_partition(lam)
+
+
+def test_internal_calls_make_no_check_beyond_the_entry(monkeypatch, cold_caches):
+    # validate_partition and count_m wrapped wherever they are imported, and MultVec's
+    # constructor on the class: past the entry point, values are valid by construction
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("validate_partition", "count_m"):
+        original = getattr(combinat, name)
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("taucycles") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    monkeypatch.setattr(MultVec, "__init__", counted("MultVec", MultVec.__init__))
+    drops = SheafDescriptor(2, Divisor({"s": 2, "t": 1, "u": 2}))
+    for call, entry_checks in (
+        (lambda: index.infer_degrees(2, 9), 0),
+        (lambda: index.index_matrix(10), 0),
+        (lambda: pushforward_partition((3, 2, 2, 1, 1)), 1),
+        (lambda: pushforward_composition((2, 1, 3, 1)), 0),
+        (lambda: [geometry.singularity_certificate(3, drops, n) for n in range(12)], 0),
+    ):
+        calls.clear()
+        call()
+        assert calls == Counter(validate_partition=entry_checks), calls

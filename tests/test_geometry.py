@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -140,12 +141,34 @@ class TestCertificates:
         # as text "1*s + 9*t" sorts before "10*s" and "10*t"
         s = sheaf(10, {"s": 10, "t": 10})
         assert singularity_certificate(1, s, 10) == (Divisor({"s": 1, "t": 9}), MultVec())
+        # s must take at least 8: "10*s + 1*t" sorts before "8*s + 3*t" and "11*s"
+        s = sheaf(20, {"s": 20, "t": 3})
+        assert singularity_certificate(1, s, 11) == (Divisor({"s": 10, "t": 1}), MultVec())
+        assert singularity_certificate(1, s, 11) == singularity_certificate_search(1, s, 11)
+        # "1*s\x01\x01 + 1*t" sorts before "1*s\x01 + ..." and "1*s + ...": the
+        # control character sorts below the space that follows a whole name
+        s = sheaf(1, {"s": 1, "s\x01": 1, "s\x01\x01": 1, "t": 1})
+        assert singularity_certificate(1, s, 2) == (Divisor({"s\x01\x01": 1, "t": 1}), MultVec())
+        assert singularity_certificate(1, s, 2) == singularity_certificate_search(1, s, 2)
 
     def test_matches_search_on_grid(self):
         for genus, s, n in certificate_grid():
             assert singularity_certificate(genus, s, n) == singularity_certificate_search(
                 genus, s, n
             ), (genus, s, n)
+
+    def test_twelve_hundred_points(self):
+        # below deg(drops) the walk over every subdivisor took seconds at 12 points
+        names = [f"p{i:04d}" for i in range(1200)]
+        s = sheaf(2, dict.fromkeys(names, 2))
+        start = time.perf_counter()
+        every_one = singularity_certificate(3, s, 1200)
+        ones_then_twos = singularity_certificate(3, s, 2000)
+        assert time.perf_counter() - start < 2.0
+        assert every_one == (Divisor(dict.fromkeys(names, 1)), MultVec())
+        # the first 400 points take 1; from there the rest must take 2 each
+        expected = Divisor({p: 1 if i < 400 else 2 for i, p in enumerate(names)})
+        assert ones_then_twos == (expected, MultVec())
 
     def test_no_partition_enumeration(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -164,15 +187,19 @@ class TestCertificates:
 
 
 def certificate_grid():
-    """Genus 0-5, rank 1-5, drops on at most s, t, u with coefficients up to
-    min(rank, 3), and every degree from 0 to n_F + 4: 27,575 cases."""
-    for genus in range(6):
-        for rank in range(1, 6):
-            cap = min(rank, 3)
-            for coeffs in itertools.product(range(cap + 1), repeat=3):
-                s = sheaf(rank, dict(zip("stu", coeffs)))
-                for n in range(n_f(genus, s) + 5):
-                    yield genus, s, n
+    """Genus 0-5, rank 1-5, drops on at most three points with coefficients
+    up to min(rank, 3), and every degree from 0 to n_F + 4: 27,575 cases on
+    s, t, u, and as many on s, s\x01, st, names that extend "s" by a
+    character below and above the space, so that the texts "1*s + ...",
+    "1*s\x01 + ..." and "1*st + ..." order differently from the names."""
+    for names in (("s", "t", "u"), ("s", "s\x01", "st")):
+        for genus in range(6):
+            for rank in range(1, 6):
+                cap = min(rank, 3)
+                for coeffs in itertools.product(range(cap + 1), repeat=3):
+                    s = sheaf(rank, dict(zip(names, coeffs)))
+                    for n in range(n_f(genus, s) + 5):
+                        yield genus, s, n
 
 
 class TestCriticalPoint:

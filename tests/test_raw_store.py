@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from taucycles import cli, cycle_algebra, sheaves
+from taucycles import cli, cycle_algebra, index, sheaves
 from taucycles.combinat import MultVec
 from taucycles.cycle_algebra import (
     CycleSum,
@@ -214,6 +214,7 @@ def test_a_bumped_skyscraper_closed_route_fails_the_check(monkeypatch, capsys):
 
 
 def test_the_caches_are_bounded():
-    for cache in (cycle_algebra._text, sheaves._constant_rank_verified):
+    caches = (cycle_algebra._text, sheaves._constant_rank_verified, index._infer_degrees_cached)
+    for cache in caches:
         maxsize = cache.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taucycles import sheaves
-from taucycles.combinat import MultVec, partitions
+from taucycles.combinat import MultVec, compositions, count_m, partitions
 from taucycles.cycle_algebra import CycleSum, TauBasis, tau, unit
 from taucycles.divisors import Divisor
 from taucycles.errors import ArgumentError, ConsistencyError, PreconditionError
@@ -111,6 +111,13 @@ class TestSkyscraper:
         assert s_skyscraper(Divisor(), True, 3) == series_one(3)
         assert s_skyscraper(Divisor(), False, 3) == series_one(3)
 
+    def test_more_points_than_the_recursion_limit(self):
+        # the closed route walks the compositions of each degree over all the points
+        names = [f"p{i:04d}" for i in range(1200)]
+        s = s_skyscraper(Divisor(dict.fromkeys(names, 1)), False, 1)
+        expected = CycleSum({TauBasis(Divisor({p: 1}), MultVec()): 1 for p in names})
+        assert s.coefficient(1) == expected
+
 
 class TestTame:
     def test_low_degree_coefficients(self):
@@ -180,6 +187,15 @@ class TestPushforwards:
             pushforward_composition((2, 1)).render()
             == "-(tau[0; 1^1 2^1] + 3*tau[0; 1^3])"
         )
+
+    def test_composition_matches_count_m_expansion_through_8(self):
+        for n in range(9):
+            for mu in compositions(n):
+                expected = CycleSum({
+                    TauBasis(Divisor(), MultVec.from_partition(lam)): (-1) ** n * count_m(lam, mu)
+                    for lam in partitions(n)
+                })
+                assert pushforward_composition(mu) == expected, mu
 
     def test_composition_empty(self):
         assert pushforward_composition(()) == unit()
