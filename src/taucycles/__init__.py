@@ -7,7 +7,8 @@ ring of cycles and its truncated generating series; ``sheaves`` builds
 the series attached to tame constructible sheaves, always through two
 independent routes that must agree.  ``geometry`` and ``index`` carry the
 curve-side numerology and the degree bookkeeping that ties both sides
-together.  ``cli`` exposes all of it on the command line.
+together.  ``cli`` exposes all of it on the command line, and
+``selftest`` holds the consistency checks of its ``selftest`` subcommand.
 
 The namespace is lazy (PEP 562): ``import taucycles`` loads no submodule,
 and the first access to a public name, or to a submodule such as
@@ -35,22 +36,18 @@ _EXPORTS = {
         "TauBasis",
         "basis_of_grade",
         "structure_constants",
-        "structure_constants_oracle",
         "tau",
-        "tau_multiset",
         "unit",
     ),
     "errors": ("ArgumentError", "ConsistencyError", "PreconditionError"),
     "geometry": (
         "AcyclicityReport",
         "EpsilonReport",
-        "RiemannRochReport",
         "acyclicity",
         "critical_point",
         "epsilon_report",
         "k_f_label",
         "n_f",
-        "riemann_roch",
         "sheaf_euler_characteristic",
         "singularity_certificate",
     ),
@@ -62,6 +59,7 @@ _EXPORTS = {
         "verify_series_index",
     ),
     "records": ("SheafDescriptor",),
+    "selftest": ("structure_constants_oracle",),
     "series": ("CycleSeries", "series_one"),
     "sheaves": (
         "pushforward_composition",
@@ -73,53 +71,7 @@ _EXPORTS = {
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "MultVec",
-    "Divisor",
-    "TauBasis",
-    "CycleSum",
-    "CycleSeries",
-    "SheafDescriptor",
-    "AcyclicityReport",
-    "EpsilonReport",
-    "RiemannRochReport",
-    "ArgumentError",
-    "PreconditionError",
-    "ConsistencyError",
-    "tau",
-    "tau_multiset",
-    "unit",
-    "series_one",
-    "structure_constants",
-    "structure_constants_oracle",
-    "basis_of_grade",
-    "conjugate",
-    "count_m",
-    "gen_binomial",
-    "partitions",
-    "set_partitions",
-    "divisor_binomial",
-    "subdivisors",
-    "s_constant_rank",
-    "s_skyscraper",
-    "s_tame",
-    "pushforward_composition",
-    "pushforward_partition",
-    "acyclicity",
-    "singularity_certificate",
-    "critical_point",
-    "epsilon_report",
-    "riemann_roch",
-    "n_f",
-    "k_f_label",
-    "sheaf_euler_characteristic",
-    "chi_sym_powers",
-    "index_matrix",
-    "infer_degrees",
-    "verify_series_index",
-    "index_check",
-]
+__all__ = ["__version__", *_HOMES]
 
 
 def __getattr__(name: str):

@@ -152,7 +152,7 @@ def _emit(payload: dict) -> None:
 
 def _cmd_product(args: argparse.Namespace) -> int:
     from .combinat import MultVec
-    from .cycle_algebra import tau, unit
+    from .cycle_algebra import tau
     from .divisors import Divisor
 
     deltas = args.delta or []
@@ -160,11 +160,13 @@ def _cmd_product(args: argparse.Namespace) -> int:
     n_factors = max(len(deltas), len(es))
     if n_factors == 0:
         raise ArgumentError("give at least one factor via --e or --delta")
-    result = unit()
+    result = None
     for i in range(n_factors):
         delta = Divisor.parse(deltas[i]) if i < len(deltas) else Divisor()
         e = MultVec.parse(es[i]) if i < len(es) else MultVec()
-        result = result * tau(delta, e)
+        # not from the unit: a product with it still takes the factorials of the counts
+        factor = tau(delta, e)
+        result = factor if result is None else result * factor
     if args.format == "json":
         _emit({"schema": SCHEMA, "factors": n_factors, "result": _sum_obj(result)})
     elif args.format == "latex":
@@ -370,187 +372,10 @@ def _cmd_index_degrees(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def _ok(index: int, label: str) -> None:
-    print(f"ok {index:02d} {label}")
-
-
-def _selftest_structure_constants() -> None:
-    from .combinat import MultVec, partitions
-    from .cycle_algebra import structure_constants, structure_constants_oracle
-
-    vecs = [MultVec.from_partition(lam) for w in range(7) for lam in partitions(w)]
-    for a in vecs:
-        for b in vecs:
-            if a.weight + b.weight > 6:
-                continue
-            if structure_constants(a, b) != structure_constants_oracle(a, b):
-                raise ConsistencyError(f"structure constants differ for {a!r} * {b!r}")
-
-
-def _selftest_ring_axioms() -> None:
-    from .cycle_algebra import basis_of_grade, tau
-
-    small = [
-        tau(b.delta, b.e) for k in range(4) for b in basis_of_grade(k, ["s"])
-    ]
-    for x in small:
-        for y in small:
-            if (x * y) != (y * x):
-                raise ConsistencyError("commutativity failed")
-    for x in small[:6]:
-        for y in small[:6]:
-            for z in small[:6]:
-                if ((x * y) * z) != (x * (y * z)):
-                    raise ConsistencyError("associativity failed")
-
-
-def _selftest_pushforward() -> None:
-    from .combinat import compositions
-    from .sheaves import pushforward_composition, pushforward_partition
-
-    for n in range(1, 5):
-        for mu in compositions(n):
-            pushforward_composition(mu)  # self-asserting
-    if pushforward_partition((1, 1)) != pushforward_composition((1, 1)):
-        raise ConsistencyError("partition and composition routes differ on 1+1")
-
-
-def _selftest_constant_rank() -> None:
-    from .sheaves import s_constant_rank
-
-    for rank in (1, 2, 3):
-        s_constant_rank(rank, 4)  # self-asserting
-
-
-def _selftest_tame() -> None:
-    from .divisors import Divisor
-    from .sheaves import s_tame
-
-    s_tame(2, Divisor({"s": 1, "t": 1}), 4)
-    s_tame(3, Divisor({"s": 2}), 4)
-
-
-def _selftest_direct_sum() -> None:
-    from .divisors import Divisor
-    from .series import series_one
-    from .sheaves import s_skyscraper, s_tame
-
-    left = s_tame(1, Divisor({"s": 1}), 4) * s_tame(1, Divisor({"t": 1}), 4)
-    if left != s_tame(2, Divisor({"s": 1, "t": 1}), 4):
-        raise ConsistencyError("direct sum multiplicativity failed")
-    sky = Divisor({"s": 2})
-    prod = s_skyscraper(sky, True, 4) * s_skyscraper(sky, False, 4)
-    if prod != series_one(4):
-        raise ConsistencyError("shifted and unshifted skyscrapers are not inverse")
-
-
-def _selftest_triangular() -> None:
-    import math
-
-    from .combinat import compositions_fixed_length, count_m, partitions
-    from .index import index_matrix
-
-    for n in range(6):
-        index_matrix(n)  # self-asserting
-    for n in range(1, 5):
-        for lam in partitions(n):
-            for r in (1, 2, 3):
-                total = sum(count_m(lam, mu) for mu in compositions_fixed_length(n, r))
-                expected = 1
-                for p in lam:
-                    expected *= math.comb(r, p)
-                if total != expected:
-                    raise ConsistencyError(f"row-sum identity failed for {lam}, r={r}")
-
-
-def _selftest_index() -> None:
-    from .combinat import gen_binomial
-    from .divisors import Divisor
-    from .index import index_check, infer_degrees
-    from .records import SheafDescriptor
-
-    for genus in (0, 1, 2):
-        for n in range(5):
-            degrees = infer_degrees(genus, n)
-            ones = tuple(1 for _ in range(n))
-            sign = -1 if n % 2 else 1
-            # [t^n] (1 - t)^(2g-2), a power of either sign
-            coeff = sign * gen_binomial(2 * genus - 2, n)
-            if sign * degrees[ones] != coeff:
-                raise ConsistencyError(f"column anchor failed at genus {genus}, n {n}")
-    index_check(0, SheafDescriptor(1, Divisor()), 4)
-    index_check(1, SheafDescriptor(1, Divisor({"s": 1})), 4)
-    index_check(2, SheafDescriptor(2, Divisor({"s": 1})), 4)
-
-
-def _selftest_geometry() -> None:
-    from .combinat import MultVec
-    from .divisors import Divisor
-    from .geometry import n_f, singularity_certificate
-    from .records import SheafDescriptor
-
-    for genus in (0, 1, 2):
-        for rank in (1, 2):
-            drop_choices = {
-                Divisor(),
-                Divisor({"s": 1}),
-                Divisor({"s": rank}),
-                Divisor({"s": 1, "t": 1}),
-            }
-            for drops in sorted(drop_choices, key=Divisor.canonical_text):
-                sheaf = SheafDescriptor(rank, drops)
-                bound = n_f(genus, sheaf)
-                for n in range(max(1, bound), bound + 3):
-                    cert = singularity_certificate(genus, sheaf, n)
-                    expect = n == bound and n > 0 and 2 * genus - 2 >= 0
-                    if (cert is not None) != expect:
-                        raise ConsistencyError(
-                            f"certificate presence wrong at genus {genus}, rank {rank}, "
-                            f"drops {drops.pretty()}, n {n}"
-                        )
-                    if cert is not None:
-                        delta, e = cert
-                        if delta != sheaf.drops or e != MultVec({rank: 2 * genus - 2}):
-                            raise ConsistencyError("certificate shape wrong")
-
-
-def _selftest_rendering() -> None:
-    import json
-
-    from .divisors import Divisor
-    from .sheaves import s_tame
-
-    first = s_tame(2, Divisor({"s": 1}), 3)
-    second = s_tame(2, Divisor({"s": 1}), 3)
-    if first.render() != second.render() or first.latex() != second.latex():
-        raise ConsistencyError("rendering is not deterministic")
-    obj1 = json.dumps(_series_obj(first))
-    obj2 = json.dumps(_series_obj(second))
-    if obj1 != obj2:
-        raise ConsistencyError("json payload is not deterministic")
-
-
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    checks = [
-        ("structure constants vs enumeration", _selftest_structure_constants),
-        ("commutativity and associativity", _selftest_ring_axioms),
-        ("pushforward routes agree", _selftest_pushforward),
-        ("constant rank closed vs power", _selftest_constant_rank),
-        ("tame product vs closed", _selftest_tame),
-        ("direct sum and inverse", _selftest_direct_sum),
-        ("triangular counts", _selftest_triangular),
-        ("index degrees", _selftest_index),
-        ("acyclicity certificates", _selftest_geometry),
-        ("deterministic output", _selftest_rendering),
-    ]
-    for i, (label, fn) in enumerate(checks, start=1):
-        fn()
-        _ok(i, label)
-    return 0
+    from .selftest import run
+
+    return run()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 
-from .errors import ArgumentError, exact_div
+from .errors import ArgumentError, check_int, exact_div
 
 __all__ = [
     "MultVec",
@@ -37,10 +37,8 @@ __all__ = [
 
 
 def _check_count(size: object, count: object) -> None:
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ArgumentError(f"part size must be a positive integer, got {size!r}")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise ArgumentError(f"count for size {size} must be a nonnegative integer, got {count!r}")
+    check_int(size, "part size", 1)
+    check_int(count, f"count for size {size}", 0)
 
 
 class MultVec:
@@ -350,10 +348,8 @@ def gen_binomial(a: int, m: int) -> int:
     >>> gen_binomial(-2, 2)
     3
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ArgumentError(f"lower index must be a nonnegative integer, got {m!r}")
-    if not isinstance(a, int) or isinstance(a, bool):
-        raise ArgumentError(f"upper index must be an integer, got {a!r}")
+    check_int(m, "lower index", 0)
+    check_int(a, "upper index")
     numerator = 1
     for i in range(m):
         numerator *= a - i

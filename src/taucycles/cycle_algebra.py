@@ -3,13 +3,11 @@
 A basis element ``TauBasis(delta, e)`` is indexed by an effective divisor
 ``delta`` and a multiplicity vector ``e``; its grade is the divisor degree
 plus the weight of ``e``.  Products expand through exact integer structure
-constants that count admissible ways of merging point clusters.  Two
-independent routes to those constants are kept side by side:
-
-* a count over matching matrices, used everywhere: a walk that fills the
-  matrix cell by cell and updates the number of ways and the merged part
-  sizes as each entry is chosen, and
-* a brute-force enumeration of set partitions, kept as an oracle.
+constants that count admissible ways of merging point clusters, by a walk
+over matching matrices that fills the matrix cell by cell and updates the
+number of ways and the merged part sizes as each entry is chosen.  The
+brute-force enumeration of set partitions that checks those constants
+lives in ``selftest``, which the tests and the ``selftest`` subcommand use.
 
 A cycle sum is stored raw, as plain tuples grouped by divisor:
 ``((delta items, ((e items, coeff), ...)), ...)``, the groups in divisor
@@ -26,18 +24,16 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 
-from .combinat import MultVec, _factorial_product, partitions, set_partitions
+from .combinat import MultVec, _factorial_product, partitions
 from .divisors import Divisor, _sum_items, subdivisors
-from .errors import ArgumentError, exact_div
+from .errors import ArgumentError, check_int, exact_div
 
 __all__ = [
     "TauBasis",
     "CycleSum",
     "tau",
-    "tau_multiset",
     "unit",
     "structure_constants",
-    "structure_constants_oracle",
     "basis_of_grade",
 ]
 
@@ -179,13 +175,6 @@ class CycleSum:
     def grades(self) -> tuple[int, ...]:
         return tuple(sorted({_grade(d, f) for d, group in self._raw for f, _ in group}))
 
-    def grade_part(self, k: int) -> "CycleSum":
-        groups = ((d, tuple(t for t in group if _grade(d, t[0]) == k)) for d, group in self._raw)
-        return CycleSum._trusted(tuple((d, group) for d, group in groups if group))
-
-    def is_homogeneous(self) -> bool:
-        return len(self.grades()) <= 1
-
     def __add__(self, other: "CycleSum") -> "CycleSum":
         if not isinstance(other, CycleSum):
             return NotImplemented
@@ -237,8 +226,7 @@ class CycleSum:
         return CycleSum._trusted(_from_raw(acc))
 
     def __pow__(self, k: int) -> "CycleSum":
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ArgumentError(f"exponent must be a nonnegative integer, got {k!r}")
+        check_int(k, "exponent", 0)
         if not k:
             return unit()
         out = self
@@ -373,12 +361,6 @@ def tau(delta: Divisor | None = None, e: MultVec | None = None, coeff: int = 1) 
     return CycleSum({basis: coeff})
 
 
-def tau_multiset(delta: Divisor | None = None, e: MultVec | None = None) -> CycleSum:
-    """Basis cycle in the multiset normalization, scaled by the count factorials."""
-    ee = e if e is not None else MultVec()
-    return tau(delta, ee, ee.factorial_product())
-
-
 def unit() -> CycleSum:
     return _monomial((), (), 1)
 
@@ -446,63 +428,6 @@ def structure_constants(e: MultVec, e_prime: MultVec) -> dict[MultVec, int]:
     if a > b:
         a, b = b, a
     return {MultVec._trusted(f): n for f, n in _structure_constants_items(a, b)}
-
-
-# ---------------------------------------------------------------------------
-# structure constants, enumeration oracle
-
-_ORACLE_WEIGHT_CAP = 10
-
-
-def structure_constants_oracle(e: MultVec, e_prime: MultVec) -> dict[MultVec, int]:
-    """Same constants by filtering every set partition of a concrete model.
-
-    Realizes ``e`` and ``e'`` as clusters of consecutive integers on two
-    disjoint label ranges, then keeps the partitions whose every block is
-    a cluster, a primed cluster, or a union of one of each.  Slow by
-    design; refuses total weight above 10.
-    """
-    if not isinstance(e, MultVec) or not isinstance(e_prime, MultVec):
-        raise ArgumentError("structure constants take two MultVec arguments")
-    total = e.weight + e_prime.weight
-    if total > _ORACLE_WEIGHT_CAP:
-        raise ArgumentError(
-            f"oracle enumerates set partitions of {total} labels; the cap is {_ORACLE_WEIGHT_CAP}"
-        )
-
-    def clusters(vec: MultVec, offset: int) -> list[frozenset[int]]:
-        out = []
-        pos = offset
-        for size, count in vec.items():
-            for _ in range(count):
-                out.append(frozenset(range(pos, pos + size)))
-                pos += size
-        return out
-
-    left = clusters(e, 0)
-    right = clusters(e_prime, e.weight)
-    left_ok = set(left)
-    right_ok = set(right)
-    left_labels = frozenset(range(e.weight))
-    counts: dict[MultVec, int] = {}
-    for partition in set_partitions(range(total)):
-        sizes: dict[int, int] = {}
-        for block in partition:
-            bs = frozenset(block)
-            left_part = bs & left_labels
-            right_part = bs - left_part
-            if left_part and left_part not in left_ok:
-                break
-            if right_part and right_part not in right_ok:
-                break
-            sizes[len(bs)] = sizes.get(len(bs), 0) + 1
-        else:
-            f = MultVec(sizes)
-            counts[f] = counts.get(f, 0) + 1
-    scale = e.factorial_product() * e_prime.factorial_product()
-    return {
-        f: exact_div(f.factorial_product() * c, scale) for f, c in sorted(counts.items())
-    }
 
 
 def basis_of_grade(k: int, points: Iterable[str]) -> list[TauBasis]:

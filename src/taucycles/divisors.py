@@ -11,7 +11,7 @@ import math
 import re
 from collections.abc import Iterable, Iterator, Mapping
 
-from .errors import ArgumentError
+from .errors import ArgumentError, check_int
 
 __all__ = ["Divisor", "subdivisors", "divisor_binomial"]
 
@@ -50,8 +50,7 @@ class Divisor:
         merged: dict[str, int] = {}
         for name, c in pairs:
             _check_point(name)
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ArgumentError(f"coefficient of {name!r} must be a nonnegative integer, got {c!r}")
+            check_int(c, f"coefficient of {name!r}", 0)
             if c:
                 merged[name] = merged.get(name, 0) + c
         self._items: tuple[tuple[str, int], ...] = tuple(sorted(merged.items()))
@@ -148,8 +147,7 @@ class Divisor:
         return Divisor(merged)
 
     def scale(self, k: int) -> "Divisor":
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ArgumentError(f"scale factor must be a nonnegative integer, got {k!r}")
+        check_int(k, "scale factor", 0)
         return Divisor({n: k * c for n, c in self._items})
 
     def leq(self, other: "Divisor") -> bool:

@@ -7,6 +7,8 @@ producing inconsistent results (ConsistencyError).  The command line
 maps these to exit codes 2, 3 and 4.
 """
 
+__all__ = ["ArgumentError", "PreconditionError", "ConsistencyError"]
+
 
 class ArgumentError(ValueError):
     """Malformed or out-of-domain argument.  CLI exit code 2."""
@@ -37,3 +39,12 @@ def exact_div(numerator: int, denominator: int) -> int:
             f"inexact division: {numerator} / {denominator} leaves remainder {remainder}"
         )
     return quotient
+
+
+_INTEGER_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def check_int(value: object, what: str, least: int | None = None) -> None:
+    """Refuse anything but an int (a bool is not one) that is at least ``least``, if given."""
+    if not isinstance(value, int) or isinstance(value, bool) or least is not None and value < least:
+        raise ArgumentError(f"{what} must be {_INTEGER_KINDS[least]}, got {value!r}")

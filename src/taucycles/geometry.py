@@ -12,13 +12,12 @@ from itertools import accumulate
 from .combinat import MultVec
 from .combinat import partitions  # noqa: F401 - perfbench/tracing.py resolves it by name
 from .divisors import Divisor
-from .errors import ArgumentError, ConsistencyError, PreconditionError
+from .errors import ArgumentError, PreconditionError, check_int
 from .records import SheafDescriptor, _FrozenRecord
 
 __all__ = [
     "AcyclicityReport",
     "EpsilonReport",
-    "RiemannRochReport",
     "n_f",
     "sheaf_euler_characteristic",
     "k_f_label",
@@ -26,7 +25,6 @@ __all__ = [
     "singularity_certificate",
     "critical_point",
     "epsilon_report",
-    "riemann_roch",
 ]
 
 VERDICT_EVERYWHERE = "acyclic_everywhere"
@@ -34,24 +32,15 @@ VERDICT_OFF_KF = "acyclic_off_KF"
 VERDICT_NOT_COVERED = "not_covered"
 
 
-def _check_genus(genus: int) -> None:
-    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
-        raise ArgumentError(f"genus must be a nonnegative integer, got {genus!r}")
-
-
 def n_f(genus: int, sheaf: SheafDescriptor) -> int:
     """Degree bound rank*(2g-2) + deg(drops) separating the acyclic range."""
-    _check_genus(genus)
+    check_int(genus, "genus", 0)
     return sheaf.rank * (2 * genus - 2) + sheaf.drops.degree
 
 
 def sheaf_euler_characteristic(genus: int, sheaf: SheafDescriptor) -> int:
     """Euler characteristic rank*(2-2g) - deg(drops); always the negative of n_f."""
-    _check_genus(genus)
-    chi = sheaf.rank * (2 - 2 * genus) - sheaf.drops.degree
-    if chi != -n_f(genus, sheaf):
-        raise ConsistencyError("Euler characteristic and degree bound fell out of step")
-    return chi
+    return -n_f(genus, sheaf)
 
 
 def k_f_label(sheaf: SheafDescriptor) -> str:
@@ -85,9 +74,8 @@ def acyclicity(
     locus and is refused.  An optional one-form divisor pins the
     critical divisor down as an actual divisor.
     """
-    _check_genus(genus)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ArgumentError(f"the symmetric power degree must be a nonnegative integer, got {n!r}")
+    check_int(genus, "genus", 0)
+    check_int(n, "the symmetric power degree", 0)
     bound = n_f(genus, sheaf)
     if n > bound:
         verdict = VERDICT_EVERYWHERE
@@ -154,9 +142,8 @@ def singularity_certificate(
     (drops, {rank: 2g-2}); above the bound there is none.  Returns None when
     e is too long, in particular always in genus 0.
     """
-    _check_genus(genus)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ArgumentError(f"the symmetric power degree must be a nonnegative integer, got {n!r}")
+    check_int(genus, "genus", 0)
+    check_int(n, "the symmetric power degree", 0)
     drops = sheaf.drops
     delta = drops if n >= drops.degree else _least_text_below(drops, n)
     e = _shortest_partition(n - delta.degree, sheaf.rank)
@@ -171,7 +158,7 @@ def critical_point(genus: int, sheaf: SheafDescriptor, omega: Divisor) -> Diviso
     The one-form divisor must have degree 2g-2; in genus 0 no effective
     divisor does, so the call always fails there.
     """
-    _check_genus(genus)
+    check_int(genus, "genus", 0)
     if not isinstance(omega, Divisor):
         raise ArgumentError("omega must be a Divisor")
     if omega.degree != 2 * genus - 2:
@@ -216,32 +203,4 @@ def epsilon_report(genus: int, sheaf: SheafDescriptor, omega: Divisor) -> Epsilo
         critical_divisor=critical,
         k_f_label=k_f_label(sheaf),
         sigma=sigma,
-    )
-
-
-class RiemannRochReport(_FrozenRecord):
-    __slots__ = ("genus", "degree", "chi_coh", "h0_positive", "aj_smooth")
-
-    def __init__(
-        self, genus: int, degree: int, chi_coh: int, h0_positive: bool, aj_smooth: bool
-    ) -> None:
-        self._fill(genus, degree, chi_coh, h0_positive, aj_smooth)
-
-
-def riemann_roch(genus: int, degree: int) -> RiemannRochReport:
-    """Coherent Euler characteristic of a degree-d line bundle and two thresholds.
-
-    ``h0_positive`` says a section exists for every bundle of that degree
-    (d >= g); ``aj_smooth`` says the Abel-Jacobi image is past the
-    critical range (d > 2g-2).
-    """
-    _check_genus(genus)
-    if not isinstance(degree, int) or isinstance(degree, bool):
-        raise ArgumentError(f"degree must be an integer, got {degree!r}")
-    return RiemannRochReport(
-        genus=genus,
-        degree=degree,
-        chi_coh=degree - genus + 1,
-        h0_positive=degree >= genus,
-        aj_smooth=degree > 2 * genus - 2,
     )

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from .combinat import _conjugate, _count_binary_matrices, _factorial_product, _partition_items
 from .combinat import gen_binomial, partitions
 from .combinat import compositions  # noqa: F401 - perfbench/tracing.py resolves it by name
-from .errors import ArgumentError, ConsistencyError, exact_div
+from .errors import ArgumentError, ConsistencyError, check_int, exact_div
 
 if TYPE_CHECKING:
     from .series import CycleSeries
@@ -42,10 +42,8 @@ def chi_sym_powers(chi: int, max_degree: int) -> list[int]:
     >>> chi_sym_powers(-2, 4)
     [1, -2, 1, 0, 0]
     """
-    if not isinstance(chi, int) or isinstance(chi, bool):
-        raise ArgumentError(f"chi must be an integer, got {chi!r}")
-    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
-        raise ArgumentError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
+    check_int(chi, "chi")
+    check_int(max_degree, "max_degree", 0)
     out = []
     for n in range(max_degree + 1):
         sign = -1 if n % 2 else 1
@@ -61,8 +59,7 @@ def index_matrix(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     triangular with unit diagonal, which is verified when the matrix for
     ``n`` is first built; later calls return fresh copies of it.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ArgumentError(f"n must be a nonnegative integer, got {n!r}")
+    check_int(n, "n", 0)
     lams, matrix = _verified_matrix(n)
     return list(lams), [list(row) for row in matrix]
 
@@ -135,10 +132,8 @@ def infer_degrees(genus: int, n: int) -> dict[tuple[int, ...], int]:
     >>> infer_degrees(2, 2)
     {(1, 1): 1, (2,): 2}
     """
-    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
-        raise ArgumentError(f"genus must be a nonnegative integer, got {genus!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ArgumentError(f"n must be a nonnegative integer, got {n!r}")
+    check_int(genus, "genus", 0)
+    check_int(n, "n", 0)
     return dict(_infer_degrees_cached(genus, n))
 
 

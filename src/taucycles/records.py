@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .divisors import Divisor
-from .errors import ArgumentError, PreconditionError
+from .errors import ArgumentError, PreconditionError, check_int
 
 if TYPE_CHECKING:
     from .series import CycleSeries
@@ -67,8 +67,7 @@ class SheafDescriptor(_FrozenRecord):
     __slots__ = ("rank", "drops")
 
     def __init__(self, rank: int, drops: Divisor) -> None:
-        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-            raise ArgumentError(f"rank must be a positive integer, got {rank!r}")
+        check_int(rank, "rank", 1)
         if not isinstance(drops, Divisor):
             raise ArgumentError("drops must be a Divisor")
         for name, a in drops.items():

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .cycle_algebra import CycleSum, _accumulate_product, _from_raw, unit
-from .errors import ArgumentError
+from .errors import ArgumentError, check_int
 
 __all__ = ["CycleSeries", "series_one", "series_inverse"]
 
@@ -61,13 +61,6 @@ class CycleSeries:
     def coefficients(self) -> tuple[CycleSum, ...]:
         return self._coeffs
 
-    def truncate(self, n: int) -> "CycleSeries":
-        if not 0 <= n <= self.max_degree:
-            raise ArgumentError(
-                f"cannot truncate to degree {n}, stored range is 0..{self.max_degree}"
-            )
-        return CycleSeries._trusted(self._coeffs[: n + 1])
-
     def _check_same_order(self, other: "CycleSeries") -> None:
         if self.max_degree != other.max_degree:
             raise ArgumentError(
@@ -105,8 +98,7 @@ class CycleSeries:
         return CycleSeries._trusted(tuple(out))
 
     def __pow__(self, k: int) -> "CycleSeries":
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ArgumentError(f"exponent must be a nonnegative integer, got {k!r}")
+        check_int(k, "exponent", 0)
         if not k:
             return series_one(self.max_degree)
         if k > 2 * (self.max_degree + 1):
@@ -147,8 +139,7 @@ class CycleSeries:
 
 def series_one(max_degree: int) -> CycleSeries:
     """The multiplicative identity up to ``max_degree``."""
-    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
-        raise ArgumentError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
+    check_int(max_degree, "max_degree", 0)
     return CycleSeries._trusted((unit(),) + (CycleSum.zero(),) * max_degree)
 
 

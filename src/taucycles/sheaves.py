@@ -33,7 +33,7 @@ from .combinat import (
     validate_partition,
 )
 from .divisors import Divisor, divisor_binomial, subdivisors
-from .errors import ArgumentError, ConsistencyError, PreconditionError
+from .errors import ArgumentError, ConsistencyError, PreconditionError, check_int
 from .cycle_algebra import CycleSum, _from_raw, _monomial, unit
 from .records import SheafDescriptor
 from .series import CycleSeries, series_one
@@ -46,11 +46,6 @@ __all__ = [
     "pushforward_composition",
     "pushforward_partition",
 ]
-
-
-def _check_order(max_degree: int) -> None:
-    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
-        raise ArgumentError(f"max_degree must be a nonnegative integer, got {max_degree!r}")
 
 
 def _assert_match(product_route: CycleSeries, closed_route: CycleSeries, label: str) -> CycleSeries:
@@ -118,9 +113,8 @@ def s_constant_rank(rank: int, max_degree: int) -> CycleSeries:
     parts at most the rank.  Independently recomputed as the rank-th
     power of the rank-one series and cross-checked.
     """
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise ArgumentError(f"rank must be a positive integer, got {rank!r}")
-    _check_order(max_degree)
+    check_int(rank, "rank", 1)
+    check_int(max_degree, "max_degree", 0)
     return _constant_rank_verified(rank, max_degree)
 
 
@@ -154,7 +148,7 @@ def s_skyscraper(multiplicities: Divisor, shifted: bool, max_degree: int) -> Cyc
     """
     if not isinstance(multiplicities, Divisor):
         raise ArgumentError("multiplicities must be a Divisor")
-    _check_order(max_degree)
+    check_int(max_degree, "max_degree", 0)
     product_route = _local_factors(multiplicities, max_degree)
     if not shifted:
         product_route = product_route.inverse()
@@ -189,7 +183,7 @@ def s_tame(rank: int, drops: Divisor, max_degree: int) -> CycleSeries:
     The two are compared on every invocation.
     """
     descriptor = SheafDescriptor(rank, drops)  # validates rank and drop bounds
-    _check_order(max_degree)
+    check_int(max_degree, "max_degree", 0)
     product_route = s_constant_rank(descriptor.rank, max_degree)
     if descriptor.drops:
         # the sparse local factors first, then one product with the dense series
@@ -279,20 +273,16 @@ def _merge_enumeration(parts: tuple[int, ...]) -> CycleSum:
     return CycleSum._trusted(_from_raw({(): merged}))
 
 
-_PARTITION_ENUM_CAP = 8  # the most parts whose merge sum is checked against the fold
-
-
 def pushforward_partition(lam: tuple[int, ...], base_char: int = 0) -> CycleSum:
     """Cycle class pushed forward along the addition map of a partition.
 
-    Two routes.  The fold ``prod_j (-tau[0; lam_j^1])`` is returned.  For
-    at most eight parts it is compared exactly with ``(-1)^l`` times the
-    sum over all ways of merging the ``l`` parts, each merged shape
-    weighted by the product of the factorials of its multiplicities; a
-    disagreement raises ConsistencyError.  That sum over set partitions
-    is counted by a dynamic programme over their block sums, so the
-    Bell(l) partitions are never listed.  Every part must be invertible
-    in the base field.
+    Two routes.  The fold ``prod_j (-tau[0; lam_j^1])`` is returned.  It
+    is compared exactly with ``(-1)^l`` times the sum over all ways of
+    merging the ``l`` parts, each merged shape weighted by the product of
+    the factorials of its multiplicities; a disagreement raises
+    ConsistencyError.  That sum over set partitions is counted by a
+    dynamic programme over their block sums, so the Bell(l) partitions
+    are never listed.  Every part must be invertible in the base field.
     """
     parts = validate_partition(lam)
     if not isinstance(base_char, int) or isinstance(base_char, bool) or (
@@ -308,11 +298,10 @@ def pushforward_partition(lam: tuple[int, ...], base_char: int = 0) -> CycleSum:
     fold_route = unit()
     for p in parts:
         fold_route = fold_route * _monomial((), ((p, 1),), -1)
-    if len(parts) <= _PARTITION_ENUM_CAP:
-        merge_route = _merge_enumeration(parts)
-        if merge_route != fold_route:
-            raise ConsistencyError(
-                f"partition pushforward of {parts}: set-partition enumeration and factor "
-                f"product disagree: {merge_route.render()} vs {fold_route.render()}"
-            )
+    merge_route = _merge_enumeration(parts)
+    if merge_route != fold_route:
+        raise ConsistencyError(
+            f"partition pushforward of {parts}: set-partition enumeration and factor "
+            f"product disagree: {merge_route.render()} vs {fold_route.render()}"
+        )
     return fold_route

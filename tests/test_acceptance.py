@@ -25,7 +25,6 @@ from taucycles.cycle_algebra import (
     _structure_constants_items,
     basis_of_grade,
     structure_constants,
-    structure_constants_oracle,
     tau,
     unit,
 )
@@ -33,6 +32,7 @@ from taucycles.divisors import Divisor
 from taucycles.errors import PreconditionError
 from taucycles.geometry import acyclicity, critical_point, n_f, singularity_certificate
 from taucycles.index import index_check, index_matrix, infer_degrees
+from taucycles.selftest import structure_constants_oracle
 from taucycles.series import CycleSeries, series_one
 from taucycles.sheaves import (
     SheafDescriptor,

@@ -352,7 +352,7 @@ def test_long_rank_one_series_exits_cleanly():
 
 
 def test_long_partition_pushforward_exits_cleanly():
-    # 14 parts: Bell(14) set partitions, so only the fold route runs
+    # 14 parts: Bell(14) set partitions, counted by block sums and never listed
     proc = subprocess.run(
         [sys.executable, "-m", "taucycles", "pushforward", "--partition", ",".join(["1"] * 14)],
         capture_output=True,
@@ -362,6 +362,19 @@ def test_long_partition_pushforward_exits_cleanly():
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert proc.stdout.decode().endswith(" + tau[0; 14^1]\n")
+
+
+def test_single_huge_product_factor_exits_cleanly():
+    # a product that started from the unit took about 22 s, in the factorial of the count
+    proc = subprocess.run(
+        [sys.executable, "-m", "taucycles", "product", "--e", "999999^999999"],
+        capture_output=True,
+        env=src_env(),
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout == b"tau[0; 999999^999999]\n"
 
 
 def test_large_drops_series_is_bounded_by_max_degree():
@@ -468,6 +481,17 @@ def test_cli_import_is_light():
     loaded = new_modules("import taucycles.cli")
     assert {m for m in loaded if m.startswith("taucycles.")} == {"taucycles.cli", "taucycles.errors"}
     assert not loaded & HEAVY
+    assert "taucycles.selftest" not in new_modules("import taucycles.cycle_algebra")
+
+
+def test_only_selftest_loads_the_selftest_module():
+    assert "taucycles.selftest" in new_modules("from taucycles.cli import main\nmain(['selftest'])")
+    for argv in (
+        "['product', '--e', '1^1', '--e', '1^1']",
+        "['series', '--rank', '1', '--max-degree', '2']",
+        "['mtable', '--n', '3']",
+    ):
+        assert "taucycles.selftest" not in new_modules(f"from taucycles.cli import main\nmain({argv})")
 
 
 def test_package_import_loads_no_submodule():

@@ -66,21 +66,22 @@ def test_merge_dp_matches_set_partition_enumeration_through_12():
 
 
 def test_off_by_one_in_a_dp_state_is_caught(monkeypatch):
-    parts = (3, 2, 1, 1)
     real = sheaves._block_sum_counts
-    states = real(parts)
-    assert sum(states.values()) == 15  # Bell(4) set partitions in all
-    for target in states:
-        for delta in (1, -1):
+    # Bell(l) set partitions of the l parts in all; the second input has more than eight
+    for parts, bell in (((3, 2, 1, 1), 15), ((2, 2) + (1,) * 7, 21147)):
+        states = real(parts)
+        assert sum(states.values()) == bell
+        for target in states:
+            for delta in (1, -1):
 
-            def off_by_one(p, target=target, delta=delta):
-                counts = real(p)
-                counts[target] += delta
-                return counts
+                def off_by_one(p, target=target, delta=delta):
+                    counts = real(p)
+                    counts[target] += delta
+                    return counts
 
-            monkeypatch.setattr(sheaves, "_block_sum_counts", off_by_one)
-            with pytest.raises(ConsistencyError, match="enumeration and factor product disagree"):
-                pushforward_partition(parts)
+                monkeypatch.setattr(sheaves, "_block_sum_counts", off_by_one)
+                with pytest.raises(ConsistencyError, match="enumeration and factor product disagree"):
+                    pushforward_partition(parts)
 
 
 def test_off_by_one_count_is_caught_by_composition_pushforward(monkeypatch, cold_caches):

@@ -16,13 +16,11 @@ from taucycles.errors import ArgumentError, ConsistencyError, PreconditionError
 from taucycles.geometry import (
     AcyclicityReport,
     EpsilonReport,
-    RiemannRochReport,
     acyclicity,
     critical_point,
     epsilon_report,
     k_f_label,
     n_f,
-    riemann_roch,
     sheaf_euler_characteristic,
     singularity_certificate,
 )
@@ -46,6 +44,7 @@ class TestBounds:
             for rank in (1, 2):
                 s = sheaf(rank, {"s": rank})
                 assert sheaf_euler_characteristic(genus, s) == -n_f(genus, s)
+                assert sheaf_euler_characteristic(genus, s) == rank * (2 - 2 * genus) - rank
 
     def test_genus_validation(self):
         with pytest.raises(ArgumentError):
@@ -242,30 +241,6 @@ class TestEpsilonReport:
         assert rep.sigma == ("s", "u")
 
 
-class TestRiemannRoch:
-    def test_chi(self):
-        assert riemann_roch(2, 3).chi_coh == 2
-        assert riemann_roch(0, 0).chi_coh == 1
-
-    def test_thresholds(self):
-        rep = riemann_roch(2, 2)
-        assert rep.h0_positive and not rep.aj_smooth
-        rep = riemann_roch(2, 3)
-        assert rep.h0_positive and rep.aj_smooth
-        rep = riemann_roch(2, 1)
-        assert not rep.h0_positive and not rep.aj_smooth
-
-    @given(st.integers(0, 5), st.integers(-3, 12))
-    def test_consistency(self, genus, degree):
-        rep = riemann_roch(genus, degree)
-        assert rep.chi_coh == degree - genus + 1
-        # past the critical range the Euler characteristic is at least g
-        if rep.aj_smooth:
-            assert rep.chi_coh >= genus
-        if rep.h0_positive:
-            assert rep.chi_coh >= 1
-
-
 def records():
     """One instance of each frozen record, built by keyword, by position and by the library."""
     return [
@@ -274,7 +249,6 @@ def records():
         acyclicity(2, sheaf(1, {"s": 1}), 3, Divisor({"s": 2})),
         epsilon_report(2, sheaf(1, {"s": 1}), Divisor({"s": 1, "t": 1})),
         EpsilonReport(n=1, sign=1, critical_divisor=Divisor(), k_f_label="x"),
-        riemann_roch(2, 3),
     ]
 
 
@@ -289,7 +263,6 @@ class TestFrozenRecords:
         "EpsilonReport(n=3, sign=-1, critical_divisor=Divisor({'s': 2, 't': 1}), "
         "k_f_label='1·K_X + [s]', sigma=('s', 't'))",
         "EpsilonReport(n=1, sign=1, critical_divisor=Divisor({}), k_f_label='x', sigma=())",
-        "RiemannRochReport(genus=2, degree=3, chi_coh=2, h0_positive=True, aj_smooth=True)",
     ]
 
     def test_repr(self):
@@ -304,7 +277,7 @@ class TestFrozenRecords:
 
     def test_fields_decide_equality(self):
         assert AcyclicityReport(2, 3, 4, "v", "k") != AcyclicityReport(2, 3, 4, "v", "k", Divisor())
-        assert riemann_roch(2, 3) != riemann_roch(2, 4)
+        assert EpsilonReport(1, 1, Divisor(), "k") != EpsilonReport(1, -1, Divisor(), "k")
         assert sheaf(1, {"s": 1}) != sheaf(2, {"s": 1})
 
     def test_classes_never_compare_equal(self):
@@ -323,7 +296,6 @@ class TestFrozenRecords:
         SheafDescriptor: ("rank", "drops"),
         AcyclicityReport: ("genus", "n", "n_f", "verdict", "k_f_label", "critical_divisor"),
         EpsilonReport: ("n", "sign", "critical_divisor", "k_f_label", "sigma"),
-        RiemannRochReport: ("genus", "degree", "chi_coh", "h0_positive", "aj_smooth"),
     }
 
     def test_assignment_raises(self):

@@ -1,3 +1,4 @@
+import importlib
 import sys
 
 import pytest
@@ -13,6 +14,13 @@ def test_every_public_name_is_its_module_attribute():
         home = sys.modules[value.__module__]
         assert home.__name__.startswith("taucycles.")
         assert getattr(home, name) is value
+
+
+def test_every_export_is_in_its_module_all():
+    # a name deleted from its module, or dropped from the module's __all__, leaves no stale export
+    for module, names in taucycles._EXPORTS.items():
+        home = importlib.import_module(f"taucycles.{module}")
+        assert set(names) <= set(home.__all__), module
 
 
 def test_star_import_binds_every_public_name():

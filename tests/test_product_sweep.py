@@ -21,11 +21,11 @@ from taucycles.cycle_algebra import (
     _structure_constants_items,
     basis_of_grade,
     structure_constants,
-    structure_constants_oracle,
     tau,
 )
 from taucycles.divisors import Divisor
 from taucycles.errors import ArgumentError, ConsistencyError
+from taucycles.selftest import structure_constants_oracle
 from taucycles.series import CycleSeries
 from taucycles.sheaves import s_skyscraper, s_tame
 

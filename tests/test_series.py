@@ -55,15 +55,6 @@ def test_coefficient_range_check():
         one.coefficient(-1)
 
 
-def test_truncate():
-    s = tame(1, {"s": 1})
-    t = s.truncate(2)
-    assert t.max_degree == 2
-    assert all(t.coefficient(k) == s.coefficient(k) for k in range(3))
-    with pytest.raises(ArgumentError):
-        s.truncate(N + 1)
-
-
 def test_order_mismatch():
     with pytest.raises(ArgumentError):
         series_one(2) * series_one(3)

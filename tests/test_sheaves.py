@@ -246,15 +246,14 @@ class TestPushforwards:
         assert pushforward_partition(lam) == expected
 
     def test_all_ones_matches_composition(self):
-        # 9 and 12 ones are past the enumeration cap, so only the fold runs
         for n in (*range(5), 9, 12):
             ones = (1,) * n
             assert pushforward_partition(ones) == pushforward_composition(ones)
 
     def test_fold_matches_merge_enumeration(self):
-        for n in range(11):
+        for n in range(17):
             for lam in partitions(n):
-                if len(lam) <= 8:
+                if n <= 10 or len(lam) >= 9:
                     assert pushforward_partition(lam) == _merge_enumeration(lam)
 
     def test_route_mismatch_raises(self, monkeypatch):
@@ -262,9 +261,9 @@ class TestPushforwards:
             return _merge_enumeration(parts) + tau()
 
         monkeypatch.setattr(sheaves, "_merge_enumeration", off_by_one)
-        with pytest.raises(ConsistencyError, match="enumeration and factor product disagree"):
-            pushforward_partition((2, 1))
-        pushforward_partition((1,) * 9)  # past the cap the enumeration is not consulted
+        for parts in ((2, 1), (1,) * 9, (3, 2, 2) + (1,) * 13):
+            with pytest.raises(ConsistencyError, match="enumeration and factor product disagree"):
+                pushforward_partition(parts)
 
     def test_characteristic_guard(self):
         with pytest.raises(PreconditionError, match="characteristic 2"):
