@@ -26,6 +26,7 @@ from .errors import (
     ArgumentError,
     ConsistencyError,
     PreconditionError,
+    decimal_int,
 )
 
 if TYPE_CHECKING:
@@ -61,7 +62,7 @@ def _default_max_degree() -> int:
     if raw is None:
         return 8
     try:
-        value = int(raw)
+        value = decimal_int(raw)
     except ValueError:
         raise ArgumentError(f"TAUCYCLES_MAX_DEGREE must be an integer, got {raw!r}") from None
     if value < 0:
@@ -82,7 +83,7 @@ def _parse_sings(pairs: Sequence[str]) -> Divisor:
         if not sep:
             raise ArgumentError(f"bad singularity {item!r}, expected point:drop")
         try:
-            count = int(count_text)
+            count = decimal_int(count_text)
         except ValueError:
             raise ArgumentError(f"bad drop in {item!r}, expected an integer") from None
         if count < 1:
@@ -109,7 +110,7 @@ def _check_weight(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(decimal_int(tok) for tok in text.split(","))
     except ValueError:
         raise ArgumentError(f"bad {what} {text!r}, expected comma-separated integers") from None
 

@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 
-from .errors import ArgumentError, check_int, exact_div
+from .errors import ArgumentError, check_int, decimal_int, exact_div
 
 __all__ = [
     "MultVec",
@@ -90,8 +90,8 @@ class MultVec:
         for token in stripped.split():
             base, sep, exp = token.partition("^")
             try:
-                size = int(base)
-                count = int(exp) if sep else 1
+                size = decimal_int(base)
+                count = decimal_int(exp) if sep else 1
             except ValueError:
                 raise ArgumentError(f"bad multiplicity token {token!r}, expected i^count") from None
             _check_count(size, count)
@@ -360,7 +360,8 @@ def set_partitions(labels: Iterable[object]) -> Iterator[tuple[tuple[object, ...
     """All partitions of a sequence of distinct labels into nonempty blocks.
 
     Blocks appear in order of first occurrence, so the output order is a
-    deterministic function of the input order.
+    deterministic function of the input order.  No package code calls it;
+    the test oracles do, and the benchmark tracer counts what it yields.
 
     >>> sum(1 for _ in set_partitions(range(4)))
     15

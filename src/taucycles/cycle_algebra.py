@@ -6,7 +6,7 @@ plus the weight of ``e``.  Products expand through exact integer structure
 constants that count admissible ways of merging point clusters, by a walk
 over matching matrices that fills the matrix cell by cell and updates the
 number of ways and the merged part sizes as each entry is chosen.  The
-brute-force enumeration of set partitions that checks those constants
+brute-force listing of cluster matchings that checks those constants
 lives in ``selftest``, which the tests and the ``selftest`` subcommand use.
 
 A cycle sum is stored raw, as plain tuples grouped by divisor:

@@ -11,7 +11,7 @@ import math
 import re
 from collections.abc import Iterable, Iterator, Mapping
 
-from .errors import ArgumentError, check_int
+from .errors import ArgumentError, check_int, decimal_int
 
 __all__ = ["Divisor", "subdivisors", "divisor_binomial"]
 
@@ -86,7 +86,7 @@ class Divisor:
             coeff_text, star, name = term.partition("*")
             if star:
                 try:
-                    coeff = int(coeff_text.strip())
+                    coeff = decimal_int(coeff_text.strip())
                 except ValueError:
                     raise ArgumentError(f"bad coefficient in term {term!r}") from None
                 name = name.strip()

@@ -44,6 +44,18 @@ def exact_div(numerator: int, denominator: int) -> int:
 _INTEGER_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
 
 
+def decimal_int(text: str) -> int:
+    """``int(text)`` for an optional ``-`` and ASCII digits only; ValueError otherwise.
+
+    Unlike ``int``, it refuses underscores, a ``+``, whitespace and non-ASCII
+    digits, so input means what the documented notation says.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def check_int(value: object, what: str, least: int | None = None) -> None:
     """Refuse anything but an int (a bool is not one) that is at least ``least``, if given."""
     if not isinstance(value, int) or isinstance(value, bool) or least is not None and value < least:

@@ -6,11 +6,13 @@ ConsistencyError at the first disagreement; ``run`` prints one ``ok``
 line per check.  Only the ``selftest`` subcommand imports this module, so
 no other run compiles it.  ``structure_constants_oracle`` is the slow
 route that the first check and the tests compare ``structure_constants``
-with.
+with: it lists the partial matchings between the clusters of the two
+factors, and shares no code with the matching-matrix walk.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -22,7 +24,6 @@ from .combinat import (
     count_m,
     gen_binomial,
     partitions,
-    set_partitions,
 )
 from .cycle_algebra import basis_of_grade, structure_constants, tau
 from .divisors import Divisor
@@ -46,50 +47,33 @@ _ORACLE_WEIGHT_CAP = 10
 
 
 def structure_constants_oracle(e: MultVec, e_prime: MultVec) -> dict[MultVec, int]:
-    """Same constants by filtering every set partition of a concrete model.
+    """Same constants by listing every partial matching of two sets of clusters.
 
-    Realizes ``e`` and ``e'`` as clusters of consecutive integers on two
-    disjoint label ranges, then keeps the partitions whose every block is
-    a cluster, a primed cluster, or a union of one of each.  Slow by
-    design; refuses total weight above 10.
+    Realizes ``e`` and ``e'`` as labelled clusters, one per part.  Each
+    partial matching of the clusters of ``e`` with those of ``e'`` merges
+    every matched pair into one block and leaves the other clusters as
+    blocks of their own; these are exactly the set partitions whose every
+    block is a cluster, a primed cluster, or a union of one of each.  Slow
+    by design; refuses total weight above 10.
     """
     if not isinstance(e, MultVec) or not isinstance(e_prime, MultVec):
         raise ArgumentError("structure constants take two MultVec arguments")
     total = e.weight + e_prime.weight
     if total > _ORACLE_WEIGHT_CAP:
         raise ArgumentError(
-            f"oracle enumerates set partitions of {total} labels; the cap is {_ORACLE_WEIGHT_CAP}"
+            f"oracle matches clusters of total weight {total}; the cap is {_ORACLE_WEIGHT_CAP}"
         )
-
-    def clusters(vec: MultVec, offset: int) -> list[frozenset[int]]:
-        out = []
-        pos = offset
-        for size, count in vec.items():
-            for _ in range(count):
-                out.append(frozenset(range(pos, pos + size)))
-                pos += size
-        return out
-
-    left = clusters(e, 0)
-    right = clusters(e_prime, e.weight)
-    left_ok = set(left)
-    right_ok = set(right)
-    left_labels = frozenset(range(e.weight))
+    left = e.to_partition()
+    right = e_prime.to_partition()
     counts: dict[MultVec, int] = {}
-    for partition in set_partitions(range(total)):
-        sizes: dict[int, int] = {}
-        for block in partition:
-            bs = frozenset(block)
-            left_part = bs & left_labels
-            right_part = bs - left_part
-            if left_part and left_part not in left_ok:
-                break
-            if right_part and right_part not in right_ok:
-                break
-            sizes[len(bs)] = sizes.get(len(bs), 0) + 1
-        else:
-            f = MultVec(sizes)
-            counts[f] = counts.get(f, 0) + 1
+    for k in range(min(len(left), len(right)) + 1):
+        for chosen in itertools.combinations(range(len(left)), k):
+            for partners in itertools.permutations(range(len(right)), k):
+                blocks = [left[i] + right[j] for i, j in zip(chosen, partners)]
+                blocks += [s for i, s in enumerate(left) if i not in chosen]
+                blocks += [t for j, t in enumerate(right) if j not in partners]
+                f = MultVec.from_partition(sorted(blocks, reverse=True))
+                counts[f] = counts.get(f, 0) + 1
     scale = e.factorial_product() * e_prime.factorial_product()
     return {
         f: exact_div(f.factorial_product() * c, scale) for f, c in sorted(counts.items())

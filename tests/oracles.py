@@ -8,6 +8,10 @@ answer the slow, obvious way, sharing no code with the kernel it checks:
   pick and a sort of every residual, where the kernel builds its picks
   group by group and never sorts;
 * ``count_m_oracle`` enumerates row supports outright;
+* ``structure_constants_set_partitions`` is the definition of the
+  structure constants: it walks every set partition of a concrete label
+  model, where ``selftest.structure_constants_oracle`` lists the cluster
+  matchings directly;
 * ``merge_enumeration`` walks every set partition of the parts, the sum
   that ``sheaves._merge_enumeration`` counts over block sums;
 * ``merge_closure_leq`` and ``coarsenings`` describe the merge order on
@@ -30,7 +34,7 @@ from functools import lru_cache
 from taucycles.combinat import MultVec, partitions, set_partitions, validate_partition
 from taucycles.cycle_algebra import CycleSum, TauBasis
 from taucycles.divisors import Divisor
-from taucycles.errors import ArgumentError
+from taucycles.errors import ArgumentError, exact_div
 from taucycles.records import SheafDescriptor
 
 
@@ -100,6 +104,46 @@ def count_m_oracle(lam: Iterable[int], mu: Iterable[int]) -> int:
         if tuple(sums) == cols:
             count += 1
     return count
+
+
+def structure_constants_set_partitions(e: MultVec, e_prime: MultVec) -> dict[MultVec, int]:
+    """The constants of ``e * e'`` by filtering every set partition of a concrete model.
+
+    Realizes ``e`` and ``e'`` as clusters of consecutive integers on two
+    disjoint label ranges, then keeps the partitions whose every block is
+    a cluster, a primed cluster, or a union of one of each.  Lists Bell(w)
+    set partitions of the ``w`` labels.
+    """
+
+    def clusters(vec: MultVec, offset: int) -> list[frozenset[int]]:
+        out = []
+        pos = offset
+        for size, count in vec.items():
+            for _ in range(count):
+                out.append(frozenset(range(pos, pos + size)))
+                pos += size
+        return out
+
+    left_ok = set(clusters(e, 0))
+    right_ok = set(clusters(e_prime, e.weight))
+    left_labels = frozenset(range(e.weight))
+    counts: dict[MultVec, int] = {}
+    for partition in set_partitions(range(e.weight + e_prime.weight)):
+        sizes: dict[int, int] = {}
+        for block in partition:
+            bs = frozenset(block)
+            left_part = bs & left_labels
+            right_part = bs - left_part
+            if left_part and left_part not in left_ok:
+                break
+            if right_part and right_part not in right_ok:
+                break
+            sizes[len(bs)] = sizes.get(len(bs), 0) + 1
+        else:
+            f = MultVec(sizes)
+            counts[f] = counts.get(f, 0) + 1
+    scale = e.factorial_product() * e_prime.factorial_product()
+    return {f: exact_div(f.factorial_product() * c, scale) for f, c in sorted(counts.items())}
 
 
 def merge_closure_leq(finer: Iterable[int], coarser: Iterable[int]) -> bool:

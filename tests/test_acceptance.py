@@ -72,18 +72,18 @@ def test_criterion_01_structure_constants_vs_enumeration(capfd):
     bound = 10.0
     _structure_constants_items.cache_clear()
     start = time.perf_counter()
-    vecs = [MultVec.from_partition(lam) for w in range(9) for lam in partitions(w)]
+    vecs = [MultVec.from_partition(lam) for w in range(11) for lam in partitions(w)]
     pairs = 0
     ok = True
     for a in vecs:
         for b in vecs:
-            if a.weight + b.weight > 8:
+            if a.weight + b.weight > 10:
                 continue
             pairs += 1
             if structure_constants(a, b) != structure_constants_oracle(a, b):
                 ok = False
     elapsed = time.perf_counter() - start
-    ok = ok and pairs == 434 and elapsed < bound
+    ok = ok and pairs == 1215 and elapsed < bound
     _report(capfd, 1, f"structure constants match enumeration on {pairs} pairs", ok, elapsed, bound)
 
 

@@ -133,6 +133,57 @@ class TestSeries:
         assert out.splitlines()[0] == r"\begin{align*}"
 
 
+class TestStrictDecimals:
+    """Numbers in the input notation are an optional ``-`` and ASCII digits, nothing else."""
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["product", "--e", "1_0^1", "--delta", "1_0*s"], None),
+            (["product", "--e", "1^1", "--delta", "1_0*s"], None),
+            (["product", "--e", "\u0661^2"], None),
+            (["product", "--e", "+2^1"], None),
+            (["series", "--rank", "2", "--sing", "s:1_1"], None),
+            (["series", "--rank", "2", "--sing", "s: 1"], None),
+            (["pushforward", "--composition", "1_0,1"], None),
+            (["pushforward", "--partition", "\uff12,1"], None),
+            (["series", "--rank", "1"], "1_0"),
+            (["series", "--rank", "1"], "\u0662"),
+        ],
+    )
+    def test_non_decimal_numbers_are_exit_2(self, capsys, monkeypatch, argv, env):
+        if env is None:
+            monkeypatch.delenv("TAUCYCLES_MAX_DEGREE", raising=False)
+        else:
+            monkeypatch.setenv("TAUCYCLES_MAX_DEGREE", env)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["product", "--e=-1^2"], None, "part size must be a positive integer, got -1"),
+            (["product", "--delta=-1*s"], None, "divisors are effective, negative term '-1*s'"),
+            (["series", "--rank", "2", "--sing", "s:-1"], None, "drop in 's:-1' must be at least 1"),
+            (
+                ["pushforward", "--composition", "2,-1"],
+                None,
+                "composition entries must be positive integers, got -1",
+            ),
+            (["series", "--rank", "1"], "-3", "TAUCYCLES_MAX_DEGREE must be nonnegative, got -3"),
+        ],
+    )
+    def test_negative_numbers_reach_their_range_checks(self, capsys, monkeypatch, argv, env, message):
+        if env is not None:
+            monkeypatch.setenv("TAUCYCLES_MAX_DEGREE", env)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+
 class TestMtable:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "mtable", "--n", "3", "--format", "json")

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taucycles.combinat import MultVec
+from oracles import structure_constants_set_partitions
+from taucycles.combinat import MultVec, partitions
 from taucycles.cycle_algebra import (
     CycleSum,
     TauBasis,
@@ -58,6 +59,13 @@ class TestStructureConstants:
         assert got == structure_constants(b, a)
         assert all(f.weight == a.weight + b.weight for f in got)
         assert all(n > 0 for n in got.values())
+
+    def test_matching_oracle_matches_the_set_partition_definition(self):
+        vecs = [MultVec.from_partition(lam) for w in range(8) for lam in partitions(w)]
+        pairs = [(a, b) for a in vecs for b in vecs if a.weight + b.weight <= 7]
+        assert len(pairs) == 249
+        for a, b in pairs:
+            assert structure_constants_oracle(a, b) == structure_constants_set_partitions(a, b)
 
     def test_oracle_weight_guard(self):
         big = MultVec({6: 1})

@@ -182,6 +182,13 @@ def test_a_wrong_structure_constant_fails_the_tame_cross_check(off_by_one, capsy
     assert err.startswith("error: constant rank 2: product expansion and closed form disagree")
 
 
+def test_a_wrong_structure_constant_fails_selftest_check_01(off_by_one, capsys):
+    assert cli.main(["selftest"]) == 4
+    out, err = capsys.readouterr()
+    assert "ok 01" not in out
+    assert err.startswith("error: structure constants differ for")
+
+
 # ---------------------------------------------------------------------------
 # squares on unordered pairs
 
