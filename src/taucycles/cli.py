@@ -7,8 +7,14 @@ inconsistency.  A reader that closes stdout early, as ``| head`` does, ends
 the run with exit code 0 and nothing on stderr; any other failure to write
 stdout, such as a full disk, is exit code 3 with one ``error:`` line.
 
-Each subcommand imports the modules it calls when it runs, so a cold
-process loads only those (and ``json`` only for ``--format json``).
+One table in ``build_parser`` lists the subcommands: name, help, output
+formats, options and handler.  A handler checks its input, computes, and
+returns one view per format, a function that builds that output.  ``main``
+builds only the requested view and prints it: JSON through ``_emit``, which
+adds the schema tag, any other format through one ``print`` (``selftest``
+prints its lines itself, as its checks pass).  Each handler imports the
+modules it calls when it runs, so a cold process loads only those (and
+``json`` only for ``--format json``).
 """
 
 from __future__ import annotations
@@ -19,24 +25,18 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import (
-    EXIT_ARGUMENT,
-    EXIT_CONSISTENCY,
-    EXIT_PRECONDITION,
-    ArgumentError,
-    ConsistencyError,
-    PreconditionError,
-    decimal_int,
-)
+from .errors import ArgumentError, ConsistencyError, PreconditionError, decimal_int
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
+    from collections.abc import Callable, Sequence
 
-    from .combinat import MultVec
     from .cycle_algebra import CycleSum
     from .divisors import Divisor
+    from .records import SheafDescriptor, _FrozenRecord
     from .series import CycleSeries
-    from .records import SheafDescriptor
+
+    # format -> a function that builds the output: a JSON payload or the text
+    Views = dict[str, Callable[[], object]]
 
 SCHEMA = 1
 
@@ -57,7 +57,16 @@ __all__ = ["main", "build_parser"]
 # parsing helpers
 
 
-def _default_max_degree() -> int:
+def _int(text: str) -> int:
+    return decimal_int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+
+
+def _resolve_max_degree(value: int | None) -> int:
+    if value is not None:
+        return value
     raw = os.environ.get("TAUCYCLES_MAX_DEGREE")
     if raw is None:
         return 8
@@ -68,10 +77,6 @@ def _default_max_degree() -> int:
     if value < 0:
         raise ArgumentError(f"TAUCYCLES_MAX_DEGREE must be nonnegative, got {value}")
     return value
-
-
-def _resolve_max_degree(value: int | None) -> int:
-    return _default_max_degree() if value is None else value
 
 
 def _parse_sings(pairs: Sequence[str]) -> Divisor:
@@ -116,22 +121,12 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# json shapes
-
-
-def _divisor_pairs(d: Divisor) -> list[list]:
-    return [[name, c] for name, c in d.items()]
-
-
-def _e_pairs(e: MultVec) -> list[list[int]]:
-    return [[size, c] for size, c in e.items()]
+# json shapes: json.dumps writes the items() tuples of a Divisor or MultVec
+# as arrays of [name or size, count] pairs
 
 
 def _sum_obj(s: CycleSum) -> list[dict]:
-    return [
-        {"coeff": c, "delta": _divisor_pairs(b.delta), "e": _e_pairs(b.e)}
-        for b, c in s.terms()
-    ]
+    return [{"coeff": c, "delta": b.delta.items(), "e": b.e.items()} for b, c in s.terms()]
 
 
 def _series_obj(series: CycleSeries) -> list[dict]:
@@ -141,17 +136,36 @@ def _series_obj(series: CycleSeries) -> list[dict]:
     ]
 
 
+def _record_obj(record: _FrozenRecord) -> dict:
+    """The fields of a report in order, a divisor as its items(): [] when zero, unlike None."""
+    from .divisors import Divisor
+
+    return {
+        name: value.items() if isinstance(value, Divisor) else value
+        for name, value in zip(record.__slots__, record._values())
+    }
+
+
 def _emit(payload: dict) -> None:
     import json
 
-    print(json.dumps(payload, indent=2))
+    print(json.dumps({"schema": SCHEMA, **payload}, indent=2))
+
+
+def _algebra_views(value: CycleSum | CycleSeries, payload: Callable[[], dict]) -> Views:
+    return {"text": value.render, "json": payload, "latex": value.latex}
+
+
+def _fields(**fields: object) -> str:
+    """One ``key: value`` line per field that is not None."""
+    return "\n".join(f"{key}: {value}" for key, value in fields.items() if value is not None)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_product(args: argparse.Namespace) -> int:
+def _cmd_product(args: argparse.Namespace) -> Views:
     from .combinat import MultVec
     from .cycle_algebra import tau
     from .divisors import Divisor
@@ -168,95 +182,57 @@ def _cmd_product(args: argparse.Namespace) -> int:
         # not from the unit: a product with it still takes the factorials of the counts
         factor = tau(delta, e)
         result = factor if result is None else result * factor
-    if args.format == "json":
-        _emit({"schema": SCHEMA, "factors": n_factors, "result": _sum_obj(result)})
-    elif args.format == "latex":
-        print(result.latex())
-    else:
-        print(result.render())
-    return 0
+    return _algebra_views(result, lambda: {"factors": n_factors, "result": _sum_obj(result)})
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: argparse.Namespace) -> Views:
     from .sheaves import s_tame
 
     drops = _parse_sings(args.sing or [])
     max_degree = _resolve_max_degree(args.max_degree)
     series = s_tame(args.rank, drops, max_degree)
-    if args.format == "json":
-        _emit(
-            {
-                "schema": SCHEMA,
-                "rank": args.rank,
-                "drops": _divisor_pairs(drops),
-                "max_degree": max_degree,
-                "degrees": _series_obj(series),
-            }
-        )
-    elif args.format == "latex":
-        print(series.latex())
-    else:
-        print(series.render())
-    return 0
+    return _algebra_views(series, lambda: {
+        "rank": args.rank,
+        "drops": drops.items(),
+        "max_degree": max_degree,
+        "degrees": _series_obj(series),
+    })
 
 
-def _cmd_mtable(args: argparse.Namespace) -> int:
+def _cmd_mtable(args: argparse.Namespace) -> Views:
     _check_table_n(args.n)
     from .index import index_matrix
 
     lams, matrix = index_matrix(args.n)
-    if args.format == "json":
-        _emit(
-            {
-                "schema": SCHEMA,
-                "n": args.n,
-                "partitions": [list(lam) for lam in lams],
-                "matrix": matrix,
-            }
-        )
-    elif args.format == "latex":
-        lines = [r"\begin{pmatrix}"]
-        for row in matrix:
-            lines.append(" & ".join(str(v) for v in row) + r" \\")
-        lines.append(r"\end{pmatrix}")
-        print("\n".join(lines))
-    else:
-        for row in matrix:
-            print(" ".join(str(v) for v in row))
-    return 0
+
+    def rows(sep: str, end: str = "") -> str:
+        return "\n".join(sep.join(map(str, row)) + end for row in matrix)
+
+    return {
+        "text": lambda: rows(" "),
+        "json": lambda: {"n": args.n, "partitions": [list(lam) for lam in lams], "matrix": matrix},
+        "latex": lambda: "\n".join([r"\begin{pmatrix}", rows(" & ", r" \\"), r"\end{pmatrix}"]),
+    }
 
 
-def _cmd_strata(args: argparse.Namespace) -> int:
+def _cmd_strata(args: argparse.Namespace) -> Views:
     from .cycle_algebra import basis_of_grade
 
-    points = [p for p in (args.points.split(",") if args.points else []) if p]
+    points = [p for p in args.points.split(",") if p]
     basis = basis_of_grade(args.grade, points)
-    if args.format == "json":
-        _emit(
-            {
-                "schema": SCHEMA,
-                "grade": args.grade,
-                "points": sorted(set(points)),
-                "strata": [
-                    {
-                        "delta": _divisor_pairs(b.delta),
-                        "e": _e_pairs(b.e),
-                        "label": b.render(),
-                    }
-                    for b in basis
-                ],
-            }
-        )
-    elif args.format == "latex":
-        for b in basis:
-            print(b.latex())
-    else:
-        for b in basis:
-            print(b.render())
-    return 0
+    return {
+        "text": lambda: "\n".join(b.render() for b in basis),
+        "json": lambda: {
+            "grade": args.grade,
+            "points": sorted(set(points)),
+            "strata": [{"delta": b.delta.items(), "e": b.e.items(), "label": b.render()}
+                       for b in basis],
+        },
+        "latex": lambda: "\n".join(b.latex() for b in basis),
+    }
 
 
-def _cmd_pushforward(args: argparse.Namespace) -> int:
+def _cmd_pushforward(args: argparse.Namespace) -> Views:
     from .combinat import validate_partition
     from .sheaves import pushforward_composition, pushforward_partition
 
@@ -272,13 +248,7 @@ def _cmd_pushforward(args: argparse.Namespace) -> int:
     else:
         parts = _check_weight(validate_partition(_parse_int_list(args.partition, "partition")))
         result = pushforward_partition(parts, args.char)
-    if args.format == "json":
-        _emit({"schema": SCHEMA, "result": _sum_obj(result)})
-    elif args.format == "latex":
-        print(result.latex())
-    else:
-        print(result.render())
-    return 0
+    return _algebra_views(result, lambda: {"result": _sum_obj(result)})
 
 
 def _sheaf_from_args(args: argparse.Namespace) -> SheafDescriptor:
@@ -287,7 +257,7 @@ def _sheaf_from_args(args: argparse.Namespace) -> SheafDescriptor:
     return SheafDescriptor(args.rank, _parse_sings(args.sing or []))
 
 
-def _cmd_acyclicity(args: argparse.Namespace) -> int:
+def _cmd_acyclicity(args: argparse.Namespace) -> Views:
     from .divisors import Divisor
     from .geometry import acyclicity
 
@@ -296,96 +266,58 @@ def _cmd_acyclicity(args: argparse.Namespace) -> int:
     sheaf = _sheaf_from_args(args)
     omega = Divisor.parse(args.omega) if args.omega is not None else None
     report = acyclicity(args.genus, sheaf, args.n, omega)
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "genus": report.genus,
-            "n": report.n,
-            "n_f": report.n_f,
-            "verdict": report.verdict,
-            "k_f_label": report.k_f_label,
-            "critical_divisor": (
-                _divisor_pairs(report.critical_divisor)
-                if report.critical_divisor is not None
-                else None
-            ),
-        }
-        _emit(payload)
-    else:
-        print(f"verdict: {report.verdict}")
-        print(f"n: {report.n}")
-        print(f"n_f: {report.n_f}")
-        print(f"k_f_label: {report.k_f_label}")
-        if report.critical_divisor is not None:
-            print(f"critical_divisor: {report.critical_divisor.pretty()}")
-    return 0
+    critical = report.critical_divisor  # None only without --omega
+    return {
+        "text": lambda: _fields(
+            verdict=report.verdict, n=report.n, n_f=report.n_f, k_f_label=report.k_f_label,
+            critical_divisor=None if critical is None else critical.pretty(),
+        ),
+        "json": lambda: _record_obj(report),
+    }
 
 
-def _cmd_epsilon_report(args: argparse.Namespace) -> int:
+def _cmd_epsilon_report(args: argparse.Namespace) -> Views:
     from .divisors import Divisor
     from .geometry import epsilon_report
 
-    sheaf = _sheaf_from_args(args)
-    omega = Divisor.parse(args.omega)
-    report = epsilon_report(args.genus, sheaf, omega)
-    if args.format == "json":
-        _emit(
-            {
-                "schema": SCHEMA,
-                "n": report.n,
-                "sign": report.sign,
-                "critical_divisor": _divisor_pairs(report.critical_divisor),
-                "k_f_label": report.k_f_label,
-                "sigma": list(report.sigma),
-            }
-        )
-    else:
-        print(f"n: {report.n}")
-        print(f"sign: {report.sign}")
-        print(f"critical_divisor: {report.critical_divisor.pretty()}")
-        print(f"k_f_label: {report.k_f_label}")
-        print(f"sigma: {', '.join(report.sigma)}")
-    return 0
+    report = epsilon_report(args.genus, _sheaf_from_args(args), Divisor.parse(args.omega))
+    return {
+        "text": lambda: _fields(
+            n=report.n, sign=report.sign, critical_divisor=report.critical_divisor.pretty(),
+            k_f_label=report.k_f_label, sigma=", ".join(report.sigma),
+        ),
+        "json": lambda: _record_obj(report),
+    }
 
 
-def _cmd_index_degrees(args: argparse.Namespace) -> int:
+def _cmd_index_degrees(args: argparse.Namespace) -> Views:
     _check_table_n(args.n)
     from .combinat import partitions
     from .index import infer_degrees
 
     degrees = infer_degrees(args.genus, args.n)
     lams = list(partitions(args.n))
-    if args.format == "json":
-        _emit(
-            {
-                "schema": SCHEMA,
-                "genus": args.genus,
-                "n": args.n,
-                "degrees": [
-                    {"partition": list(lam), "d": degrees[lam]} for lam in lams
-                ],
-            }
-        )
-    else:
-        for lam in lams:
-            label = "+".join(str(p) for p in lam) if lam else "0"
-            print(f"{label}: {degrees[lam]}")
-    return 0
+    return {
+        "text": lambda: "\n".join(
+            f"{'+'.join(map(str, lam)) if lam else '0'}: {degrees[lam]}" for lam in lams
+        ),
+        "json": lambda: {
+            "genus": args.genus,
+            "n": args.n,
+            "degrees": [{"partition": list(lam), "d": degrees[lam]} for lam in lams],
+        },
+    }
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> Views:
     from .selftest import run
 
-    return run()
+    # run prints one line per check as it passes and returns None, so nothing more is printed
+    return {"text": run}
 
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _add_format(p: argparse.ArgumentParser, *, latex: bool = True) -> None:
-    choices = ["text", "json"] + (["latex"] if latex else [])
-    p.add_argument("--format", choices=choices, default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,63 +328,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("product", help="multiply basis cycles")
-    p.add_argument("--delta", action="append", metavar="DIV", help="divisor of the next factor")
-    p.add_argument("--e", action="append", metavar="MULT", help="multiplicities of the next factor")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_product)
-
-    p = sub.add_parser("series", help="characteristic-cycle series of a tame sheaf")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--sing", action="append", metavar="POINT:DROP")
-    p.add_argument("--max-degree", type=int, default=None)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_series)
-
-    p = sub.add_parser("mtable", help="triangular matrix of 0-1 matrix counts")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(fn=_cmd_mtable)
-
-    p = sub.add_parser("strata", help="basis cycles of a given grade")
-    p.add_argument("--grade", type=int, required=True)
-    p.add_argument("--points", default="", metavar="NAMES", help="comma-separated point names")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_strata)
-
-    p = sub.add_parser("pushforward", help="pushforward classes along addition maps")
-    p.add_argument("--composition", metavar="PARTS")
-    p.add_argument("--partition", metavar="PARTS")
-    p.add_argument("--char", type=int, default=0, help="base characteristic, 0 or a prime")
-    _add_format(p)
-    p.set_defaults(fn=_cmd_pushforward)
-
-    p = sub.add_parser("acyclicity", help="locate a degree against the acyclic range")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--sing", action="append", metavar="POINT:DROP")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--omega", metavar="DIV", help="effective one-form divisor, e.g. '2*s'")
-    _add_format(p, latex=False)
-    p.set_defaults(fn=_cmd_acyclicity)
-
-    p = sub.add_parser("epsilon-report", help="local factorization data on the boundary")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--sing", action="append", metavar="POINT:DROP")
-    p.add_argument("--omega", metavar="DIV", required=True)
-    _add_format(p, latex=False)
-    p.set_defaults(fn=_cmd_epsilon_report)
-
-    p = sub.add_parser("index-degrees", help="stratum degrees for all partitions of n")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p, latex=False)
-    p.set_defaults(fn=_cmd_index_degrees)
-
-    p = sub.add_parser("selftest", help="run the built-in consistency checks")
-    p.set_defaults(fn=_cmd_selftest)
-
+    report = ("text", "json")
+    algebra = (*report, "latex")
+    count = dict(type=_int, required=True)
+    genus, rank, n = ("--genus", count), ("--rank", count), ("--n", count)
+    sing = ("--sing", dict(action="append", metavar="POINT:DROP"))
+    # name, help, formats, options as (flag, add_argument keywords), handler
+    table = [
+        ("product", "multiply basis cycles", algebra, [
+            ("--delta", dict(action="append", metavar="DIV", help="divisor of the next factor")),
+            ("--e", dict(action="append", metavar="MULT",
+                         help="multiplicities of the next factor")),
+        ], _cmd_product),
+        ("series", "characteristic-cycle series of a tame sheaf", algebra, [
+            rank, sing, ("--max-degree", dict(type=_int)),
+        ], _cmd_series),
+        ("mtable", "triangular matrix of 0-1 matrix counts", algebra, [n], _cmd_mtable),
+        ("strata", "basis cycles of a given grade", algebra, [
+            ("--grade", count),
+            ("--points", dict(default="", metavar="NAMES", help="comma-separated point names")),
+        ], _cmd_strata),
+        ("pushforward", "pushforward classes along addition maps", algebra, [
+            ("--composition", dict(metavar="PARTS")),
+            ("--partition", dict(metavar="PARTS")),
+            ("--char", dict(type=_int, default=0, help="base characteristic, 0 or a prime")),
+        ], _cmd_pushforward),
+        ("acyclicity", "locate a degree against the acyclic range", report, [
+            genus, rank, sing, n,
+            ("--omega", dict(metavar="DIV", help="effective one-form divisor, e.g. '2*s'")),
+        ], _cmd_acyclicity),
+        ("epsilon-report", "local factorization data on the boundary", report, [
+            genus, rank, sing, ("--omega", dict(metavar="DIV", required=True)),
+        ], _cmd_epsilon_report),
+        ("index-degrees", "stratum degrees for all partitions of n", report, [genus, n],
+         _cmd_index_degrees),
+        ("selftest", "run the built-in consistency checks", (), [], _cmd_selftest),
+    ]
+    for name, help_text, formats, options, handler in table:
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(fn=handler, format="text")
     return parser
 
 
@@ -465,12 +383,15 @@ def _detach_stdout() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        output = args.fn(args)[args.format]()
+        if args.format == "json":
+            _emit(output)
+        elif output is not None:
+            print(output)
         sys.stdout.flush()  # so that a closed pipe shows up here, not at interpreter exit
-        return code
+        return 0
     except BrokenPipeError:
         # the reader stopped early, which is not a failure of the run
         _detach_stdout()
@@ -479,16 +400,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # stdout is the only file a command writes; it could not take the output
         _detach_stdout()
         print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ArgumentError as exc:
+        return PreconditionError.exit_code
+    except (ArgumentError, PreconditionError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGUMENT
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
+        return exc.exit_code
 
 
 if __name__ == "__main__":

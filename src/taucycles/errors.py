@@ -13,9 +13,13 @@ __all__ = ["ArgumentError", "PreconditionError", "ConsistencyError"]
 class ArgumentError(ValueError):
     """Malformed or out-of-domain argument.  CLI exit code 2."""
 
+    exit_code = 2
+
 
 class PreconditionError(ValueError):
     """Well-formed input outside a documented hypothesis.  CLI exit code 3."""
+
+    exit_code = 3
 
 
 class ConsistencyError(RuntimeError):
@@ -25,10 +29,7 @@ class ConsistencyError(RuntimeError):
     mistake.  CLI exit code 4.
     """
 
-
-EXIT_ARGUMENT = 2
-EXIT_PRECONDITION = 3
-EXIT_CONSISTENCY = 4
+    exit_code = 4
 
 
 def exact_div(numerator: int, denominator: int) -> int:

@@ -213,9 +213,8 @@ CHECKS = [
 ]
 
 
-def run() -> int:
+def run() -> None:
     """Run every check in order, printing ``ok NN label`` after each one that passes."""
     for i, (label, fn) in enumerate(CHECKS, start=1):
         fn()
         print(f"ok {i:02d} {label}")
-    return 0

@@ -6,12 +6,14 @@ the line is visible in a plain pytest run.  All comparisons are exact
 integer equalities; no tolerances apply anywhere.
 """
 
+import argparse
 import itertools
 import json
 import subprocess
 import sys
 import time
 
+from taucycles.cli import build_parser
 from taucycles.combinat import (
     MultVec,
     compositions,
@@ -355,8 +357,10 @@ CLI_CASES = [
     ["mtable", "--n", "4", "--format", "latex"],
     ["strata", "--grade", "3", "--points", "s,t"],
     ["strata", "--grade", "2", "--points", "s", "--format", "json"],
+    ["strata", "--grade", "2", "--points", "s", "--format", "latex"],
     ["pushforward", "--composition", "3,1"],
     ["pushforward", "--partition", "2,2,1", "--char", "3", "--format", "json"],
+    ["pushforward", "--composition", "2,1", "--format", "latex"],
     ["acyclicity", "--genus", "2", "--rank", "2", "--sing", "s:1", "--n", "9", "--omega", "2*t"],
     ["acyclicity", "--genus", "1", "--rank", "1", "--sing", "s:1", "--n", "1", "--format", "json"],
     ["epsilon-report", "--genus", "2", "--rank", "1", "--sing", "s:1", "--omega", "2*t"],
@@ -373,6 +377,21 @@ FROZEN = {
     ): b"1\n-(tau[0; 1^1] + tau[s;])\n",
     ("mtable", "--n", "3"): b"1 3 6\n0 1 3\n0 0 1\n",
 }
+
+
+def _command_and_format(argv):
+    return argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "text"
+
+
+def test_criterion_10_covers_every_command_and_format():
+    # the (subcommand, format) pairs the parser offers; a subcommand without --format prints text
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    offered = set()
+    for name, sub in commands.choices.items():
+        formats = [a.choices for a in sub._actions if a.dest == "format"]
+        offered |= {(name, fmt) for fmt in (formats[0] if formats else ["text"])}
+    assert offered - {_command_and_format(case) for case in CLI_CASES} == set()
 
 
 def test_criterion_10_cli_byte_determinism(capfd):

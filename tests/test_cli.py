@@ -1,5 +1,8 @@
+import argparse
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import taucycles
-from taucycles.cli import main
+from taucycles.cli import build_parser, main
 from taucycles.errors import ConsistencyError
 
 
@@ -174,6 +177,11 @@ class TestStrictDecimals:
                 "composition entries must be positive integers, got -1",
             ),
             (["series", "--rank", "1"], "-3", "TAUCYCLES_MAX_DEGREE must be nonnegative, got -3"),
+            (["mtable", "--n", "-1"], None, "n must be a nonnegative integer, got -1"),
+            (["series", "--rank", "1", "--max-degree", "-1"], None,
+             "max_degree must be a nonnegative integer, got -1"),
+            (["acyclicity", "--genus", "1", "--rank", "1", "--n", "0"], None,
+             "the command line takes n >= 1, got 0"),
         ],
     )
     def test_negative_numbers_reach_their_range_checks(self, capsys, monkeypatch, argv, env, message):
@@ -182,6 +190,36 @@ class TestStrictDecimals:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err == f"error: {message}\n"
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--rank", "1_0", "--max-degree", "\u0661"],
+            ["mtable", "--n", "\u0663"],
+            ["pushforward", "--partition", "2", "--char", "+3"],
+            ["index-degrees", "--genus", "0", "--n", "0_3"],
+        ],
+    )
+    def test_numeric_options_are_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.startswith(f"usage: taucycles {argv[0]} ")
+        assert "invalid int value" in err.splitlines()[-1]
+
+    def test_every_numeric_option_is_strict(self):
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        typed = [a for sub in commands.choices.values() for a in sub._actions if a.type is not None]
+        assert len(typed) == 12
+        for action in typed:
+            assert action.type("-12") == -12
+            for text in ("1_0", "+3", "\u0663", " 3"):
+                with pytest.raises(ValueError):
+                    action.type(text)
 
 
 class TestMtable:
@@ -379,6 +417,144 @@ class TestSelftestAndPlumbing:
             )
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+# One entry per argv: (the command line as a shell would split it, exit code, the first
+# 16 hex digits of the sha256 of stdout, stderr).  A leading NAME=value word sets that
+# environment variable for the run.  Recorded from the command line before its
+# subcommands came from one table; the strict-decimal entries have exit 2 since then.
+CORPUS = [
+    ('product --e 1^1 --e 1^1', 0, '83adf8f3f6b700e5', ''),
+    ('product --e 1^1 --e 1^1 --format json', 0, 'c488e65e849b93c0', ''),
+    ('product --delta s --e 2^1 --delta t --format latex', 0, 'e2dba11bc288b5c6', ''),
+    ("product --delta '2*s + t' --e '1^2 2^1' --e 1^1 --format json", 0, '5e115ed81445f67f', ''),
+    ('product --delta 0 --format json', 0, 'd4bfbe5094cc9fb0', ''),
+    ('product', 2, 'e3b0c44298fc1c14', 'error: give at least one factor via --e or --delta\n'),
+    ('product --e oops', 2, 'e3b0c44298fc1c14', "error: bad multiplicity token 'oops', expected i^count\n"),
+    ("product --delta 's +'", 2, 'e3b0c44298fc1c14', "error: empty term in divisor 's +'\n"),
+    ('product --e=-1^2', 2, 'e3b0c44298fc1c14', 'error: part size must be a positive integer, got -1\n'),
+    ('product --e 1^1 --format yaml', 2, 'e3b0c44298fc1c14', "usage: taucycles product [-h] [--delta DIV] [--e MULT]\n                         [--format {text,json,latex}]\ntaucycles product: error: argument --format: invalid choice: 'yaml' (choose from 'text', 'json', 'latex')\n"),
+    ('series --rank 1 --sing s:1 --max-degree 1', 0, 'c3a0d7c3cd557e67', ''),
+    ('series --rank 2 --sing s:1 --sing t:2 --max-degree 4 --format json', 0, 'db54a57c3dd0af95', ''),
+    ('series --rank 2 --sing s:1 --max-degree 3 --format latex', 0, '97d67934cee17c4b', ''),
+    ('series --rank 1', 0, '6807c1aa10089c6e', ''),
+    ('TAUCYCLES_MAX_DEGREE=2 series --rank 1 --format json', 0, 'a9906cfda4445d16', ''),
+    ('TAUCYCLES_MAX_DEGREE=lots series --rank 1', 2, 'e3b0c44298fc1c14', "error: TAUCYCLES_MAX_DEGREE must be an integer, got 'lots'\n"),
+    ('TAUCYCLES_MAX_DEGREE=-3 series --rank 1', 2, 'e3b0c44298fc1c14', 'error: TAUCYCLES_MAX_DEGREE must be nonnegative, got -3\n'),
+    ('series --rank 1 --sing s:2', 3, 'e3b0c44298fc1c14', "error: drop 2 at point 's' exceeds the rank 1\n"),
+    ('series --rank 1 --sing s=2', 2, 'e3b0c44298fc1c14', "error: bad singularity 's=2', expected point:drop\n"),
+    ('series --rank 1 --sing s:x', 2, 'e3b0c44298fc1c14', "error: bad drop in 's:x', expected an integer\n"),
+    ('series --rank 1 --sing s:0', 2, 'e3b0c44298fc1c14', "error: drop in 's:0' must be at least 1\n"),
+    ('series --rank 2 --sing s:1 --sing s:1', 2, 'e3b0c44298fc1c14', "error: point 's' listed twice\n"),
+    ('series --rank 1 --max-degree -1', 2, 'e3b0c44298fc1c14', 'error: max_degree must be a nonnegative integer, got -1\n'),
+    ('series --rank -1 --max-degree 2', 2, 'e3b0c44298fc1c14', 'error: rank must be a positive integer, got -1\n'),
+    ('series --max-degree 2', 2, 'e3b0c44298fc1c14', 'usage: taucycles series [-h] --rank RANK [--sing POINT:DROP]\n                        [--max-degree MAX_DEGREE] [--format {text,json,latex}]\ntaucycles series: error: the following arguments are required: --rank\n'),
+    ('series --rank abc', 2, 'e3b0c44298fc1c14', "usage: taucycles series [-h] --rank RANK [--sing POINT:DROP]\n                        [--max-degree MAX_DEGREE] [--format {text,json,latex}]\ntaucycles series: error: argument --rank: invalid int value: 'abc'\n"),
+    ('series --rank 1_0 --max-degree ١', 2, 'e3b0c44298fc1c14', "usage: taucycles series [-h] --rank RANK [--sing POINT:DROP]\n                        [--max-degree MAX_DEGREE] [--format {text,json,latex}]\ntaucycles series: error: argument --rank: invalid int value: '1_0'\n"),
+    ('mtable --n 3', 0, 'b76c5f6a9c1a554b', ''),
+    ('mtable --n 4 --format json', 0, '51540b5b4657be76', ''),
+    ('mtable --n 4 --format latex', 0, '3e1fd8ec0c5b01c5', ''),
+    ('mtable --n 0', 0, '4355a46b19d348dc', ''),
+    ('mtable --n 0 --format json', 0, '4a455bfd88037b87', ''),
+    ('mtable --n -1', 2, 'e3b0c44298fc1c14', 'error: n must be a nonnegative integer, got -1\n'),
+    ('mtable --n 21', 3, 'e3b0c44298fc1c14', 'error: --n 21 is above the limit of 20 for this command\n'),
+    ('mtable --n ٣', 2, 'e3b0c44298fc1c14', "usage: taucycles mtable [-h] --n N [--format {text,json,latex}]\ntaucycles mtable: error: argument --n: invalid int value: '٣'\n"),
+    ('strata --grade 2 --points s', 0, '97755e36f5e1bf14', ''),
+    ('strata --grade 3 --points s,t --format json', 0, '98812e9a00181127', ''),
+    ('strata --grade 2 --points s --format latex', 0, 'c0e1d79ef1e415bf', ''),
+    ('strata --grade 0', 0, '39910a33cf4d199f', ''),
+    ('strata --grade 0 --format json', 0, '8b51365ab71cf791', ''),
+    ('strata --grade 2 --points ,t,,s,t --format json', 0, 'aa18fcb20c97863b', ''),
+    ('strata --grade -1', 2, 'e3b0c44298fc1c14', 'error: grade must be nonnegative, got -1\n'),
+    ('pushforward --composition 3,1', 0, '975b2e269a700202', ''),
+    ('pushforward --composition 2,1 --format json', 0, 'e3fa7f5e4e230d80', ''),
+    ('pushforward --composition 2,1,1 --format latex', 0, '7dbb10ae2bb49129', ''),
+    ('pushforward --partition 2,1', 0, 'a8b3d8e70218c81e', ''),
+    ('pushforward --partition 2,2,1 --char 3 --format json', 0, '49cc7c84d94ec685', ''),
+    ('pushforward --partition 2,1 --format latex', 0, 'b1f4426d8250cea2', ''),
+    ('pushforward --partition 2,1 --char 2', 3, 'e3b0c44298fc1c14', 'error: part 2 is not invertible in characteristic 2\n'),
+    ('pushforward --partition 2,1 --char 4', 2, 'e3b0c44298fc1c14', 'error: base characteristic must be 0 or a prime, got 4\n'),
+    ('pushforward --composition 2 --char 3', 2, 'e3b0c44298fc1c14', 'error: --char applies only to the partition route\n'),
+    ('pushforward --composition 1 --partition 1', 2, 'e3b0c44298fc1c14', 'error: give either --composition or --partition, not both\n'),
+    ('pushforward', 2, 'e3b0c44298fc1c14', 'error: give one of --composition or --partition\n'),
+    ('pushforward --partition 1,2', 2, 'e3b0c44298fc1c14', 'error: partition parts must be weakly decreasing, got (1, 2)\n'),
+    ('pushforward --composition 1,x', 2, 'e3b0c44298fc1c14', "error: bad composition '1,x', expected comma-separated integers\n"),
+    ('pushforward --partition 11,10,10', 3, 'e3b0c44298fc1c14', 'error: weight 31 is above the limit of 30 for this command\n'),
+    ('pushforward --composition 2,-1', 2, 'e3b0c44298fc1c14', 'error: composition entries must be positive integers, got -1\n'),
+    ('pushforward --partition 2 --char +3', 2, 'e3b0c44298fc1c14', "usage: taucycles pushforward [-h] [--composition PARTS] [--partition PARTS]\n                             [--char CHAR] [--format {text,json,latex}]\ntaucycles pushforward: error: argument --char: invalid int value: '+3'\n"),
+    ('acyclicity --genus 2 --rank 2 --sing s:1 --n 9 --omega 2*t', 0, 'f8ca298381f48e22', ''),
+    ('acyclicity --genus 2 --rank 2 --sing s:1 --n 9 --omega 2*t --format json', 0, '4ab9f15c273a8737', ''),
+    ('acyclicity --genus 1 --rank 1 --sing s:1 --n 1', 0, 'ae6b7ce62252379d', ''),
+    ('acyclicity --genus 1 --rank 1 --sing s:1 --n 1 --format json', 0, '73a1eb9a11f1dcd4', ''),
+    ('acyclicity --genus 1 --rank 1 --n 1 --omega 0', 0, '5aa0dc0718cf0ca2', ''),
+    ('acyclicity --genus 1 --rank 1 --n 1 --omega 0 --format json', 0, '61b9f04b186b8fa8', ''),
+    ('acyclicity --genus 1 --rank 1 --n 0', 2, 'e3b0c44298fc1c14', 'error: the command line takes n >= 1, got 0\n'),
+    ('acyclicity --genus 0 --rank 1 --sing s:2 --n 1', 3, 'e3b0c44298fc1c14', "error: drop 2 at point 's' exceeds the rank 1\n"),
+    ("acyclicity --genus 1 --rank 1 --n 1 --omega 's +'", 2, 'e3b0c44298fc1c14', "error: empty term in divisor 's +'\n"),
+    ('acyclicity --genus -1 --rank 1 --n 1', 2, 'e3b0c44298fc1c14', 'error: genus must be a nonnegative integer, got -1\n'),
+    ('acyclicity --genus 1 --rank 1 --n 1 --format latex', 2, 'e3b0c44298fc1c14', "usage: taucycles acyclicity [-h] --genus GENUS --rank RANK [--sing POINT:DROP]\n                            --n N [--omega DIV] [--format {text,json}]\ntaucycles acyclicity: error: argument --format: invalid choice: 'latex' (choose from 'text', 'json')\n"),
+    ('epsilon-report --genus 2 --rank 1 --sing s:1 --omega 2*t', 0, 'c53b0305f9e15338', ''),
+    ("epsilon-report --genus 2 --rank 2 --sing s:2 --omega 't + u' --format json", 0, 'c912ba6a2124d236', ''),
+    ('epsilon-report --genus 1 --rank 1 --omega 0', 3, 'e3b0c44298fc1c14', 'error: local factorization data needs a positive degree bound, got 0\n'),
+    ('epsilon-report --genus 2 --rank 1', 2, 'e3b0c44298fc1c14', 'usage: taucycles epsilon-report [-h] --genus GENUS --rank RANK\n                                [--sing POINT:DROP] --omega DIV\n                                [--format {text,json}]\ntaucycles epsilon-report: error: the following arguments are required: --omega\n'),
+    ('index-degrees --genus 2 --n 4', 0, '872652a79ebbf623', ''),
+    ('index-degrees --genus 0 --n 3 --format json', 0, '86fdd3e239f89b13', ''),
+    ('index-degrees --genus 1 --n 0', 0, '008904fdbbc6e76b', ''),
+    ('index-degrees --genus 1 --n -1', 2, 'e3b0c44298fc1c14', 'error: n must be a nonnegative integer, got -1\n'),
+    ('index-degrees --genus 2 --n 21', 3, 'e3b0c44298fc1c14', 'error: --n 21 is above the limit of 20 for this command\n'),
+    ('index-degrees --genus -1 --n 2', 2, 'e3b0c44298fc1c14', 'error: genus must be a nonnegative integer, got -1\n'),
+    ('index-degrees --genus 0 --n 0_3', 2, 'e3b0c44298fc1c14', "usage: taucycles index-degrees [-h] --genus GENUS --n N [--format {text,json}]\ntaucycles index-degrees: error: argument --n: invalid int value: '0_3'\n"),
+    ('selftest', 0, '62b7931ccc4322b1', ''),
+    ('selftest --format json', 2, 'e3b0c44298fc1c14', 'usage: taucycles [-h] [--version]\n                 {product,series,mtable,strata,pushforward,acyclicity,epsilon-report,index-degrees,selftest}\n                 ...\ntaucycles: error: unrecognized arguments: --format json\n'),
+    ('', 2, 'e3b0c44298fc1c14', 'usage: taucycles [-h] [--version]\n                 {product,series,mtable,strata,pushforward,acyclicity,epsilon-report,index-degrees,selftest}\n                 ...\ntaucycles: error: the following arguments are required: command\n'),
+    ('bogus', 2, 'e3b0c44298fc1c14', "usage: taucycles [-h] [--version]\n                 {product,series,mtable,strata,pushforward,acyclicity,epsilon-report,index-degrees,selftest}\n                 ...\ntaucycles: error: argument command: invalid choice: 'bogus' (choose from 'product', 'series', 'mtable', 'strata', 'pushforward', 'acyclicity', 'epsilon-report', 'index-degrees', 'selftest')\n"),
+    ('--version', 0, '079cf33c3c29fda3', ''),
+    ('--help', 0, 'b5da17cfc77e895b', ''),
+    ('series --help', 0, '670ed916ca982294', ''),
+    ('pushforward -h', 0, '870a1313759113b4', ''),
+]
+
+
+@pytest.mark.parametrize("line, code, digest, err", CORPUS, ids=[entry[0] for entry in CORPUS])
+def test_frozen_corpus(capsys, monkeypatch, line, code, digest, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    monkeypatch.delenv("TAUCYCLES_MAX_DEGREE", raising=False)
+    words = shlex.split(line)
+    if words and "=" in words[0]:
+        monkeypatch.setenv(*words.pop(0).split("=", 1))
+    try:
+        got = main(words)
+    except SystemExit as exc:  # argparse exits on bad arguments, --help and --version
+        got = exc.code
+    out = capsys.readouterr()
+    assert (got, hashlib.sha256(out.out.encode()).hexdigest()[:16], out.err) == (code, digest, err)
+
+
+def readme_examples() -> list[tuple[str, list[str]]]:
+    """The ``$ taucycles ...`` examples under "## Command line" in README.md, with their output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *shown = chunk.splitlines()
+        examples.append((command.removeprefix("$ taucycles "), shown))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("command, shown", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_examples_print_what_they_show(capsys, monkeypatch, command, shown):
+    monkeypatch.delenv("TAUCYCLES_MAX_DEGREE", raising=False)
+    assert main(shlex.split(command)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if "..." in shown:  # the example elides the middle lines
+        cut = shown.index("...")
+        head, tail = shown[:cut], shown[cut + 1:]
+        assert lines[:cut] == head and lines[len(lines) - len(tail):] == tail
+    else:
+        assert lines == shown
 
 
 def src_env() -> dict:
