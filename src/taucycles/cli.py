@@ -8,13 +8,15 @@ the run with exit code 0 and nothing on stderr; any other failure to write
 stdout, such as a full disk, is exit code 3 with one ``error:`` line.
 
 One table in ``build_parser`` lists the subcommands: name, help, output
-formats, options and handler.  A handler checks its input, computes, and
-returns one view per format, a function that builds that output.  ``main``
-builds only the requested view and prints it: JSON through ``_emit``, which
-adds the schema tag, any other format through one ``print`` (``selftest``
-prints its lines itself, as its checks pass).  Each handler imports the
-modules it calls when it runs, so a cold process loads only those (and
-``json`` only for ``--format json``).
+formats and options.  ``main`` parses with one parser, built on its first
+call and kept for the process, and looks up the handler ``_cmd_<name>``
+(``-`` read as ``_``) when the command runs.  A handler checks its input,
+computes, and returns one view per format, a function that builds that
+output.  ``main`` builds only the requested view and prints it: JSON
+through ``_emit``, which adds the schema tag, any other format through one
+``print`` (``selftest`` prints its lines itself, as its checks pass).  Each
+handler imports the modules it calls when it runs, so a cold process loads
+only those (and ``json`` only for ``--format json``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -333,45 +336,48 @@ def build_parser() -> argparse.ArgumentParser:
     count = dict(type=_int, required=True)
     genus, rank, n = ("--genus", count), ("--rank", count), ("--n", count)
     sing = ("--sing", dict(action="append", metavar="POINT:DROP"))
-    # name, help, formats, options as (flag, add_argument keywords), handler
+    # name, help, formats, options as (flag, add_argument keywords); the handler is _cmd_<name>
     table = [
         ("product", "multiply basis cycles", algebra, [
             ("--delta", dict(action="append", metavar="DIV", help="divisor of the next factor")),
             ("--e", dict(action="append", metavar="MULT",
                          help="multiplicities of the next factor")),
-        ], _cmd_product),
+        ]),
         ("series", "characteristic-cycle series of a tame sheaf", algebra, [
             rank, sing, ("--max-degree", dict(type=_int)),
-        ], _cmd_series),
-        ("mtable", "triangular matrix of 0-1 matrix counts", algebra, [n], _cmd_mtable),
+        ]),
+        ("mtable", "triangular matrix of 0-1 matrix counts", algebra, [n]),
         ("strata", "basis cycles of a given grade", algebra, [
             ("--grade", count),
             ("--points", dict(default="", metavar="NAMES", help="comma-separated point names")),
-        ], _cmd_strata),
+        ]),
         ("pushforward", "pushforward classes along addition maps", algebra, [
             ("--composition", dict(metavar="PARTS")),
             ("--partition", dict(metavar="PARTS")),
             ("--char", dict(type=_int, default=0, help="base characteristic, 0 or a prime")),
-        ], _cmd_pushforward),
+        ]),
         ("acyclicity", "locate a degree against the acyclic range", report, [
             genus, rank, sing, n,
             ("--omega", dict(metavar="DIV", help="effective one-form divisor, e.g. '2*s'")),
-        ], _cmd_acyclicity),
+        ]),
         ("epsilon-report", "local factorization data on the boundary", report, [
             genus, rank, sing, ("--omega", dict(metavar="DIV", required=True)),
-        ], _cmd_epsilon_report),
-        ("index-degrees", "stratum degrees for all partitions of n", report, [genus, n],
-         _cmd_index_degrees),
-        ("selftest", "run the built-in consistency checks", (), [], _cmd_selftest),
+        ]),
+        ("index-degrees", "stratum degrees for all partitions of n", report, [genus, n]),
+        ("selftest", "run the built-in consistency checks", (), []),
     ]
-    for name, help_text, formats, options, handler in table:
+    for name, help_text, formats, options in table:
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in options:
             p.add_argument(flag, **keywords)
         if formats:
             p.add_argument("--format", choices=formats, default="text")
-        p.set_defaults(fn=handler, format="text")
+        p.set_defaults(format="text")
     return parser
+
+
+# nothing in the parser depends on the call; argparse reads the terminal width as it prints
+_parser = lru_cache(maxsize=1)(build_parser)
 
 
 def _detach_stdout() -> None:
@@ -383,9 +389,10 @@ def _detach_stdout() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        output = args.fn(args)[args.format]()
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
+        output = handler(args)[args.format]()
         if args.format == "json":
             _emit(output)
         elif output is not None:

@@ -11,7 +11,9 @@ shares no code with the count matrix.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .combinat import _conjugate, _count_binary_matrices, _factorial_product, _partition_items
@@ -56,8 +58,9 @@ def index_matrix(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
 
     Entry (i, j) counts 0-1 matrices with row sums conjugate to the i-th
     partition and column sums the j-th partition.  The result is upper
-    triangular with unit diagonal, which is verified when the matrix for
-    ``n`` is first built; later calls return fresh copies of it.
+    triangular with unit diagonal, and each row satisfies the principal
+    specialization of ``e`` at ``1^n``; both are verified when the matrix
+    for ``n`` is first built, and later calls return fresh copies of it.
     """
     check_int(n, "n", 0)
     lams, matrix = _verified_matrix(n)
@@ -81,6 +84,21 @@ def _verified_matrix(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[i
                 raise ConsistencyError(
                     f"entry ({lams[i]}, {lams[j]}) below the diagonal is {matrix[i][j]}"
                 )
+    # a second route per row, sharing no code with the count: with rho the conjugate of
+    # lams[i], e_rho = sum_j matrix[i][j] m_{lams[j]}, which at 1^n reads
+    # sum_j m_{lams[j]}(1^n) matrix[i][j] = prod_p binom(n, rho_p); every weight
+    # m_mu(1^n) = n! / ((n - l(mu))! prod_i m_i(mu)!) is positive, so one wrong entry shows
+    m_at_ones = [
+        exact_div(math.perm(n, len(mu)), _factorial_product(_partition_items(mu))) for mu in lams
+    ]
+    for lam, row in zip(lams, matrix):
+        left = sum(map(mul, m_at_ones, row))
+        right = math.prod([math.comb(n, p) for p in _conjugate(lam)])
+        if left != right:
+            raise ConsistencyError(
+                f"count matrix row for {lam} at n = {n}: sum_mu m_mu(1^{n}) a gives {left}, "
+                f"prod_p binom({n}, rho_p) gives {right}"
+            )
     return lams, matrix
 
 
@@ -149,11 +167,14 @@ def verify_series_index(series: CycleSeries, chi_values: list[int], genus: int) 
         raise ArgumentError(
             f"need {series.max_degree + 1} chi values, got {len(chi_values)}"
         )
+    degrees: dict[int, dict[tuple[int, ...], int]] = {}  # weight -> its stratum degrees
     for n in range(series.max_degree + 1):
         total = 0
         for basis, coeff in series.coefficient(n).terms():
-            lam = basis.e.to_partition()
-            total += coeff * infer_degrees(genus, basis.e.weight)[lam]
+            weight = basis.e.weight
+            if weight not in degrees:
+                degrees[weight] = infer_degrees(genus, weight)
+            total += coeff * degrees[weight][basis.e.to_partition()]
         if total != chi_values[n]:
             raise ConsistencyError(
                 f"index mismatch at degree {n}: cycle side {total}, expected {chi_values[n]}"

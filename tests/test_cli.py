@@ -530,6 +530,58 @@ def test_frozen_corpus(capsys, monkeypatch, line, code, digest, err):
     assert (got, hashlib.sha256(out.out.encode()).hexdigest()[:16], out.err) == (code, digest, err)
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; nothing of one call leaks into the next."""
+
+    def test_warm_calls_build_no_parser(self, capsys, monkeypatch):
+        assert main(["mtable", "--n", "2"]) == 0
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in (
+            ["mtable", "--n", "2"],
+            ["strata", "--grade", "1", "--format", "json"],
+            ["index-degrees", "--genus", "0", "--n", "2"],
+        ):
+            assert main(argv) == 0
+        assert built == []
+
+    def test_corpus_twice_forward_then_reversed(self, capsys, monkeypatch):
+        for entry in CORPUS + CORPUS[::-1]:
+            test_frozen_corpus(capsys, monkeypatch, *entry)
+
+    def test_usage_wraps_to_the_width_of_each_call(self, capsys, monkeypatch):
+        def bogus_usage(columns):
+            monkeypatch.setenv("COLUMNS", columns)
+            with pytest.raises(SystemExit):
+                main(["bogus"])
+            return capsys.readouterr().err
+
+        narrow = dict((line, err) for line, _, _, err in CORPUS)["bogus"]
+        *usage, error = narrow.splitlines()
+        usage = " ".join(line.strip() for line in usage)
+        assert bogus_usage("80") == narrow  # usage on three lines
+        assert bogus_usage("300") == f"{usage}\n{error}\n"  # on one
+        assert bogus_usage("80") == narrow
+
+    def test_replaced_handler_is_called_after_a_warm_call(self, capsys, monkeypatch):
+        import taucycles.cli as cli
+
+        assert cli.main(["mtable", "--n", "2"]) == 0
+
+        def broken(args):
+            raise ConsistencyError("doctored failure")
+
+        monkeypatch.setattr(cli, "_cmd_mtable", broken)
+        assert cli.main(["mtable", "--n", "2"]) == 4
+        assert capsys.readouterr().err == "error: doctored failure\n"
+
+
 def readme_examples() -> list[tuple[str, list[str]]]:
     """The ``$ taucycles ...`` examples under "## Command line" in README.md, with their output."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -104,6 +104,21 @@ def test_off_by_one_count_is_caught_by_infer_degrees(monkeypatch, cold_caches):
             _clear_count_caches()
 
 
+def test_off_by_one_count_above_the_diagonal_makes_mtable_exit_4(monkeypatch, capsys, cold_caches):
+    # triangularity cannot see these entries; the principal specialization of each row does
+    from taucycles.cli import main
+
+    lams = list(partitions(4))
+    for i, rows in enumerate(map(conjugate, lams)):
+        for mu in lams[i + 1:]:
+            _corrupt_count(monkeypatch, (rows, mu))
+            assert main(["mtable", "--n", "4"]) == 4
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: count matrix row for {lams[i]} at n = 4: ")
+            _clear_count_caches()
+
+
 @pytest.mark.parametrize("n, entries", [(12, 7137), (14, 21677)])
 def test_count_cache_holds_the_same_memo_states(cold_caches, n, entries):
     index.index_matrix(n)

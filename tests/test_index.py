@@ -197,6 +197,19 @@ class TestVerifySeriesIndex:
         series = CycleSeries([tau()])
         assert verify_series_index(series, [1], 2)
 
+    def test_stratum_degrees_are_fetched_once_per_weight(self, monkeypatch):
+        weights = []
+        original = index.infer_degrees
+
+        def counted(genus, n):
+            weights.append(n)
+            return original(genus, n)
+
+        monkeypatch.setattr(index, "infer_degrees", counted)
+        assert index_check(2, SheafDescriptor(2, Divisor({"s": 1, "t": 1})), 8)
+        # one call per term of the series would be 81
+        assert len(weights) == len(set(weights)) <= 9
+
 
 class TestIndexCheck:
     def test_rank_one_grid(self):

@@ -1,5 +1,8 @@
 import importlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +42,20 @@ def test_unknown_attribute_raises():
         taucycles.no_such_name
     assert not hasattr(taucycles, "no_such_name")
 
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("acyclicity_grid.py", ["--max-genus", "2", "--max-rank", "2", "--window", "2"]),
+        ("index_table.py", ["--genus", "2", "--max-n", "3"]),
+    ],
+)
+def test_scripts_run_on_the_public_api(script, args):
+    # the README's scripts import from the package; a dropped export breaks them
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    src = str(Path(taucycles.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, path, *args], capture_output=True, env=env, timeout=20)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout
