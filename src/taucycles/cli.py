@@ -45,7 +45,8 @@ SCHEMA = 1
 
 # The largest --n of mtable and index-degrees.  Both build the count matrix,
 # whose side is the number of partitions of n; cold, n = 20 (627 partitions)
-# took 4-5 s and 86 MB, and each step up multiplies both by 1.5 to 2.
+# took 1.3-1.7 s and 48 MB, and each step up multiplies the time by 1.5 to 2
+# and the memory by 1.3 to 1.5.
 MAX_TABLE_N = 20
 
 # The largest weight (sum of the parts) of pushforward.  Cold, 30 ones took

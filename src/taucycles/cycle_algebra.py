@@ -369,7 +369,10 @@ def unit() -> CycleSum:
 # structure constants, closed route
 
 
-@lru_cache(maxsize=None)
+# Bounded because a long series keeps making new pairs: s_tame(3, 0, 60) held
+# 279 MB of entries unbounded and 66 MB at this bound, at about the same time,
+# while a pass of the benchmark's ring workload uses 473.
+@lru_cache(maxsize=2048)
 def _structure_constants_items(
     e_items: tuple[tuple[int, int], ...], f_items: tuple[tuple[int, int], ...]
 ) -> tuple:

@@ -57,10 +57,13 @@ def index_matrix(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """Partitions of ``n`` (largest part first) and the matrix of 0-1 matrix counts.
 
     Entry (i, j) counts 0-1 matrices with row sums conjugate to the i-th
-    partition and column sums the j-th partition.  The result is upper
-    triangular with unit diagonal, and each row satisfies the principal
-    specialization of ``e`` at ``1^n``; both are verified when the matrix
-    for ``n`` is first built, and later calls return fresh copies of it.
+    partition and column sums the j-th partition.  The entries below the
+    diagonal are zero by dominance (Gale-Ryser) and are not counted.
+    Transposing a 0-1 matrix swaps its row and column sums, so an entry
+    whose transpose lies in an earlier row is read from there; the rest
+    are counted.  When the matrix for ``n`` is first built, the diagonal
+    is checked to be 1 and every row against the principal specialization
+    of ``e`` at ``1^n``; later calls return fresh copies of it.
     """
     check_int(n, "n", 0)
     lams, matrix = _verified_matrix(n)
@@ -71,35 +74,45 @@ def index_matrix(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
 def _verified_matrix(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     # built and checked once per n; index_matrix hands out copies
     lams = tuple(partitions(n))
-    # partitions and their conjugates are descending without zeros, the
-    # form the count recursion takes, so the checks of count_m are skipped
-    matrix = tuple(
-        tuple([_count_binary_matrices(rows, mu) for mu in lams]) for rows in map(_conjugate, lams)
-    )
-    for i in range(len(lams)):
+    conjugates = [_conjugate(lam) for lam in lams]
+    position = {lam: i for i, lam in enumerate(lams)}
+    mirror = [position[rho] for rho in conjugates]
+    matrix: list[tuple[int, ...]] = []
+    for i, rows in enumerate(conjugates):
+        # a 0-1 matrix with row sums conj(lams[i]) and column sums mu exists only
+        # if mu is dominated by lams[i] (Gale-Ryser), and lex order refines
+        # dominance, so the entries below the diagonal are zero without counting
+        row = [0] * i
+        for j in range(i, len(lams)):
+            # transposing swaps row and column sums: entry (i, j) is entry
+            # (mirror[j], mirror[i]), already built when its row comes first
+            if mirror[j] < i:
+                row.append(matrix[mirror[j]][mirror[i]])
+            else:
+                # partitions and their conjugates are descending without zeros, the
+                # form the count recursion takes, so the checks of count_m are skipped
+                row.append(_count_binary_matrices(rows, lams[j]))
+        matrix.append(tuple(row))
+    for i, lam in enumerate(lams):
         if matrix[i][i] != 1:
-            raise ConsistencyError(f"diagonal entry for {lams[i]} is {matrix[i][i]}, expected 1")
-        for j in range(i):
-            if matrix[i][j] != 0:
-                raise ConsistencyError(
-                    f"entry ({lams[i]}, {lams[j]}) below the diagonal is {matrix[i][j]}"
-                )
+            raise ConsistencyError(f"diagonal entry for {lam} is {matrix[i][i]}, expected 1")
     # a second route per row, sharing no code with the count: with rho the conjugate of
     # lams[i], e_rho = sum_j matrix[i][j] m_{lams[j]}, which at 1^n reads
     # sum_j m_{lams[j]}(1^n) matrix[i][j] = prod_p binom(n, rho_p); every weight
-    # m_mu(1^n) = n! / ((n - l(mu))! prod_i m_i(mu)!) is positive, so one wrong entry shows
+    # m_mu(1^n) = n! / ((n - l(mu))! prod_i m_i(mu)!) is positive, so one wrong entry shows,
+    # and a count read again at its mirror shows in both rows
     m_at_ones = [
         exact_div(math.perm(n, len(mu)), _factorial_product(_partition_items(mu))) for mu in lams
     ]
-    for lam, row in zip(lams, matrix):
+    for lam, rho, row in zip(lams, conjugates, matrix):
         left = sum(map(mul, m_at_ones, row))
-        right = math.prod([math.comb(n, p) for p in _conjugate(lam)])
+        right = math.prod([math.comb(n, p) for p in rho])
         if left != right:
             raise ConsistencyError(
                 f"count matrix row for {lam} at n = {n}: sum_mu m_mu(1^{n}) a gives {left}, "
                 f"prod_p binom({n}, rho_p) gives {right}"
             )
-    return lams, matrix
+    return lams, tuple(matrix)
 
 
 def _chi_product(chi_values: list[int], parts: tuple[int, ...], n: int) -> int:

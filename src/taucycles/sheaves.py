@@ -230,14 +230,39 @@ def pushforward_composition(mu: tuple[int, ...]) -> CycleSum:
     return matrix_route
 
 
+# The strong probable-prime test to the first 13 prime bases has no false
+# positive below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_CHAR = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    # deterministic Miller-Rabin: a witness proves p composite, and below
+    # MAX_PRIME_CHAR no witness proves it prime; above, PreconditionError
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while not d % 2:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
+    if p >= MAX_PRIME_CHAR:
+        raise PreconditionError(
+            f"base characteristic {p} is a strong probable prime, but primality is "
+            f"decided only below {MAX_PRIME_CHAR}"
+        )
     return True
 
 
@@ -283,6 +308,9 @@ def pushforward_partition(lam: tuple[int, ...], base_char: int = 0) -> CycleSum:
     ConsistencyError.  That sum over set partitions is counted by a
     dynamic programme over their block sums, so the Bell(l) partitions
     are never listed.  Every part must be invertible in the base field.
+    A nonzero ``base_char`` must be a prime below ``MAX_PRIME_CHAR``, the
+    bound under which primality is decided exactly; a larger one that no
+    base proves composite raises PreconditionError.
     """
     parts = validate_partition(lam)
     if not isinstance(base_char, int) or isinstance(base_char, bool) or (

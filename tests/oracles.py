@@ -19,6 +19,8 @@ answer the slow, obvious way, sharing no code with the kernel it checks:
 * ``singularity_certificate_search`` tries every subdivisor of the drops
   with a shortest partition found by enumeration, where
   ``geometry.singularity_certificate`` picks the winner in closed form;
+* ``is_prime_trial_division`` divides by every integer up to the square
+  root, where ``sheaves._is_prime`` runs a Miller-Rabin test;
 * ``compositions_recursive`` and ``compositions_fixed_length_recursive``
   recurse once per part, where the walks in ``combinat`` step from one
   composition to the next in a list.
@@ -270,3 +272,14 @@ def compositions_fixed_length_recursive(n: int, length: int) -> Iterator[tuple[i
     for first in range(n + 1):
         for rest in compositions_fixed_length_recursive(n - first, length - 1):
             yield (first,) + rest
+
+
+def is_prime_trial_division(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True

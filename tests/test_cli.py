@@ -422,7 +422,8 @@ class TestSelftestAndPlumbing:
 # One entry per argv: (the command line as a shell would split it, exit code, the first
 # 16 hex digits of the sha256 of stdout, stderr).  A leading NAME=value word sets that
 # environment variable for the run.  Recorded from the command line before its
-# subcommands came from one table; the strict-decimal entries have exit 2 since then.
+# subcommands came from one table; the strict-decimal entries have exit 2 since then,
+# and the --char above the primality bound, which gave no answer then, exits 3.
 CORPUS = [
     ('product --e 1^1 --e 1^1', 0, '83adf8f3f6b700e5', ''),
     ('product --e 1^1 --e 1^1 --format json', 0, 'c488e65e849b93c0', ''),
@@ -474,6 +475,7 @@ CORPUS = [
     ('pushforward --partition 2,1 --format latex', 0, 'b1f4426d8250cea2', ''),
     ('pushforward --partition 2,1 --char 2', 3, 'e3b0c44298fc1c14', 'error: part 2 is not invertible in characteristic 2\n'),
     ('pushforward --partition 2,1 --char 4', 2, 'e3b0c44298fc1c14', 'error: base characteristic must be 0 or a prime, got 4\n'),
+    ('pushforward --partition 2 --char 170141183460469231731687303715884105727', 3, 'e3b0c44298fc1c14', 'error: base characteristic 170141183460469231731687303715884105727 is a strong probable prime, but primality is decided only below 3317044064679887385961981\n'),
     ('pushforward --composition 2 --char 3', 2, 'e3b0c44298fc1c14', 'error: --char applies only to the partition route\n'),
     ('pushforward --composition 1 --partition 1', 2, 'e3b0c44298fc1c14', 'error: give either --composition or --partition, not both\n'),
     ('pushforward', 2, 'e3b0c44298fc1c14', 'error: give one of --composition or --partition\n'),
@@ -879,3 +881,20 @@ def test_long_composition_pushforward_is_refused_without_traceback():
     assert proc.returncode == 3
     assert proc.stdout == b""
     assert proc.stderr.decode() == "error: weight 1200 is above the limit of 30 for this command\n"
+
+
+def test_char_near_ten_to_the_eighteen_is_decided_quickly():
+    # trial division would need about 10^9 steps for this prime
+    def pushforward(char):
+        return subprocess.run(
+            [sys.executable, "-m", "taucycles", "pushforward", "--partition", "2", "--char", char],
+            capture_output=True,
+            env=src_env(),
+            timeout=10,
+        )
+
+    proc = pushforward("1000000000000000003")
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    assert proc.stdout == pushforward("7").stdout
+

@@ -15,7 +15,7 @@ import pytest
 
 from oracles import count_binary_matrices_recursion, count_m_oracle, merge_enumeration
 from taucycles import combinat, cycle_algebra, geometry, index, sheaves
-from taucycles.combinat import MultVec, conjugate, partitions
+from taucycles.combinat import MultVec, conjugate, count_m, partitions
 from taucycles.divisors import Divisor
 from taucycles.errors import ConsistencyError
 from taucycles.records import SheafDescriptor
@@ -45,6 +45,21 @@ def _corrupt_count(monkeypatch, key):
     # index imports the kernel by name, and the recursion looks itself up in combinat
     monkeypatch.setattr(combinat, "_count_binary_matrices", off_by_one)
     monkeypatch.setattr(index, "_count_binary_matrices", off_by_one)
+
+
+def _top_level_keys(monkeypatch, n):
+    # the (rows, cols) keys a cold build of the n matrix hands the kernel itself
+    keys = []
+
+    def recording(rows, cols):
+        keys.append((rows, cols))
+        return COUNT(rows, cols)
+
+    monkeypatch.setattr(index, "_count_binary_matrices", recording)
+    index.index_matrix(n)
+    monkeypatch.setattr(index, "_count_binary_matrices", COUNT)
+    _clear_count_caches()
+    return keys
 
 
 def test_count_matches_recursion_and_enumeration_through_13(cold_caches):
@@ -95,31 +110,60 @@ def test_off_by_one_count_is_caught_by_composition_pushforward(monkeypatch, cold
 
 def test_off_by_one_count_is_caught_by_infer_degrees(monkeypatch, cold_caches):
     # at genus 0 no stratum degree vanishes, so every entry feeds the solve
-    lams = list(partitions(4))
-    for rows in map(conjugate, lams):
-        for mu in lams:
-            _corrupt_count(monkeypatch, (rows, mu))
-            with pytest.raises(ConsistencyError):
-                index.infer_degrees(0, 4)
-            _clear_count_caches()
+    for key in _top_level_keys(monkeypatch, 4):
+        _corrupt_count(monkeypatch, key)
+        with pytest.raises(ConsistencyError):
+            index.infer_degrees(0, 4)
+        _clear_count_caches()
 
 
 def test_off_by_one_count_above_the_diagonal_makes_mtable_exit_4(monkeypatch, capsys, cold_caches):
-    # triangularity cannot see these entries; the principal specialization of each row does
+    # triangularity cannot see these entries; the principal specialization of each row
+    # does, first in the row that counts the entry, before the mirror row that copies it
     from taucycles.cli import main
 
     lams = list(partitions(4))
-    for i, rows in enumerate(map(conjugate, lams)):
-        for mu in lams[i + 1:]:
-            _corrupt_count(monkeypatch, (rows, mu))
-            assert main(["mtable", "--n", "4"]) == 4
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err.startswith(f"error: count matrix row for {lams[i]} at n = 4: ")
-            _clear_count_caches()
+    above = 0
+    for rows, mu in _top_level_keys(monkeypatch, 4):
+        i = lams.index(conjugate(rows))
+        if lams.index(mu) <= i:
+            continue
+        above += 1
+        _corrupt_count(monkeypatch, (rows, mu))
+        assert main(["mtable", "--n", "4"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: count matrix row for {lams[i]} at n = 4: ")
+        _clear_count_caches()
+    assert above == 6
 
 
-@pytest.mark.parametrize("n, entries", [(12, 7137), (14, 21677)])
+def test_index_matrix_matches_count_m_on_every_entry_through_14(cold_caches):
+    # below the diagonal included: those zeros come from dominance, not from a count
+    for n in range(15):
+        lams, matrix = index.index_matrix(n)
+        assert lams == list(partitions(n))
+        assert matrix == [[count_m(conjugate(lam), mu) for mu in lams] for lam in lams], n
+
+
+def test_index_matrix_counts_each_mirrored_orbit_once(monkeypatch, cold_caches):
+    # transposing maps entry (i, j) to (mirror[j], mirror[i]); the build meets each
+    # orbit first at its member in the earlier row, and counts it there unless that
+    # member lies below the diagonal
+    n = 10
+    lams = list(partitions(n))
+    mirror = [lams.index(conjugate(lam)) for lam in lams]
+    cells = [(i, j) for i in range(len(lams)) for j in range(len(lams))]
+    orbits = {frozenset({(i, j), (mirror[j], mirror[i])}) for i, j in cells}
+    counted = [orbit for orbit in orbits if min(orbit)[0] <= min(orbit)[1]]
+    keys = _top_level_keys(monkeypatch, n)
+    assert len(keys) == len(counted) == 473
+    assert {(lams.index(conjugate(rows)), lams.index(mu)) for rows, mu in keys} == {
+        min(orbit) for orbit in counted
+    }
+
+
+@pytest.mark.parametrize("n, entries", [(12, 2348), (14, 7050)])
 def test_count_cache_holds_the_same_memo_states(cold_caches, n, entries):
     index.index_matrix(n)
     assert COUNT.cache_info().currsize == entries

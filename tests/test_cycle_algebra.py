@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import structure_constants_set_partitions
+from taucycles import cycle_algebra
 from taucycles.combinat import MultVec, partitions
 from taucycles.cycle_algebra import (
     CycleSum,
@@ -15,6 +16,7 @@ from taucycles.cycle_algebra import (
 from taucycles.divisors import Divisor
 from taucycles.errors import ArgumentError
 from taucycles.selftest import structure_constants_oracle
+from taucycles.sheaves import s_tame
 
 small_e = st.lists(st.integers(1, 3), min_size=0, max_size=3).map(
     lambda xs: MultVec.from_partition(sorted(xs, reverse=True))
@@ -82,6 +84,16 @@ class TestStructureConstants:
         for f, n in structure_constants(a, b).items():
             raw = n * a.factorial_product() * b.factorial_product()
             assert raw % f.factorial_product() == 0
+
+    def test_cache_stays_bounded_over_a_long_series(self):
+        # unbounded, this series left 4,065 entries; each product still checks its two routes
+        cache = cycle_algebra._structure_constants_items
+        cache.cache_clear()
+        s_tame(3, Divisor(), 35)
+        info = cache.cache_info()
+        assert info.maxsize == 2048
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
 
 
 class TestRingAxioms:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_prime_trial_division
 from taucycles import sheaves
 from taucycles.combinat import MultVec, compositions, count_m, partitions
 from taucycles.cycle_algebra import CycleSum, TauBasis, tau, unit
@@ -18,6 +19,16 @@ from taucycles.sheaves import (
     s_skyscraper,
     s_tame,
 )
+
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    # n - 1 = d * 2^s with d odd: a^d is 1, or a^(d * 2^r) is -1 for some r < s
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
 
 points = st.sampled_from(["s", "t"])
 small_drops = st.dictionaries(points, st.just(1), max_size=2).map(Divisor)
@@ -273,6 +284,44 @@ class TestPushforwards:
             pushforward_partition((1,), base_char=4)
         with pytest.raises(ArgumentError):
             pushforward_partition((1,), base_char=-3)
+
+    def test_primality_matches_trial_division_below_200000(self):
+        assert [p for p in range(200_000) if sheaves._is_prime(p)] == [
+            p for p in range(200_000) if is_prime_trial_division(p)
+        ]
+
+    def test_strong_pseudoprimes_to_the_smaller_bases_are_refused(self):
+        # each passes the strong test to every prime base below the one that catches it
+        for composite, catcher in (
+            (3215031751, 11),
+            (3825123056546413051, 37),
+            (318665857834031151167461, 41),
+        ):
+            bases = [a for a in PRIME_BASES if a < catcher]
+            assert all(_strong_probable_prime(composite, a) for a in bases), composite
+            assert not _strong_probable_prime(composite, catcher)
+            assert not sheaves._is_prime(composite)
+            with pytest.raises(ArgumentError, match="must be 0 or a prime"):
+                pushforward_partition((1,), base_char=composite)
+
+    def test_large_primes_within_the_bound(self):
+        # the last is the largest prime below the bound
+        for p in (1000000000000000003, 2**61 - 1, 3317044064679887385961813):
+            assert sheaves._is_prime(p)
+        assert pushforward_partition((2, 1), base_char=1000000000000000003) == (
+            pushforward_partition((2, 1))
+        )
+
+    def test_probable_prime_above_the_bound_is_a_precondition(self):
+        # the bound itself is composite and passes every base, so no prime is claimed there
+        bound = sheaves.MAX_PRIME_CHAR
+        assert all(_strong_probable_prime(bound, a) for a in PRIME_BASES)
+        for p in (bound, 2**127 - 1):
+            with pytest.raises(PreconditionError, match="decided only below"):
+                pushforward_partition((1,), base_char=p)
+        # a composite above the bound still has a witness
+        with pytest.raises(ArgumentError, match="must be 0 or a prime"):
+            pushforward_partition((1,), base_char=(2**61 - 1) * (2**89 - 1))
 
     def test_composition_validation(self):
         with pytest.raises(ArgumentError):
