@@ -18,8 +18,9 @@ helpers take values valid by construction and check nothing.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
+from typing import TypeVar
 
 from .errors import ArgumentError, check_int, decimal_int, exact_div
 
@@ -41,7 +42,63 @@ def _check_count(size: object, count: object) -> None:
     check_int(count, f"count for size {size}", 0)
 
 
-class MultVec:
+class _Items:
+    """A finitely supported map to positive integers, stored as sorted items.
+
+    The one representation of ``Divisor`` and ``MultVec``.  Zero values are
+    dropped on construction, so equal maps always compare equal, but a
+    value equals only a value of its own class.  Instances are immutable
+    and hashable, and hash as their items do.
+    """
+
+    __slots__ = ("_items", "_hash")
+
+    def _merge(self, pairs: Mapping | Iterable[tuple], check: Callable) -> None:
+        # check each pair, add up repeated keys and drop zero values
+        merged: dict = {}
+        for key, value in pairs.items() if isinstance(pairs, Mapping) else pairs:
+            check(key, value)
+            if value:
+                merged[key] = merged.get(key, 0) + value
+        self._items = tuple(sorted(merged.items()))
+        self._hash = hash(self._items)
+
+    @classmethod
+    def _trusted(cls: type[_Self], items: tuple) -> _Self:
+        # items: sorted (valid key, positive int) pairs, as internal arithmetic produces
+        self = object.__new__(cls)
+        self._items = items
+        self._hash = hash(items)
+        return self
+
+    def items(self) -> tuple:
+        return self._items
+
+    @property
+    def support(self) -> tuple:
+        return tuple(k for k, _ in self._items)
+
+    def factorial_product(self) -> int:
+        """Product of the factorials of the values."""
+        return _factorial_product(self._items)
+
+    def __bool__(self) -> bool:
+        return bool(self._items)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._items == other._items
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self._items)!r})"
+
+
+_Self = TypeVar("_Self", bound=_Items)
+
+
+class MultVec(_Items):
     """Finitely supported map {part size i >= 1} -> {count >= 1}.
 
     Zero counts are dropped on construction, so equal vectors always
@@ -56,25 +113,10 @@ class MultVec:
     '1^2 2^1'
     """
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ()
 
     def __init__(self, counts: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        pairs = counts.items() if isinstance(counts, Mapping) else counts
-        merged: dict[int, int] = {}
-        for size, count in pairs:
-            _check_count(size, count)
-            if count:
-                merged[size] = merged.get(size, 0) + count
-        self._items: tuple[tuple[int, int], ...] = tuple(sorted(merged.items()))
-        self._hash = hash(self._items)
-
-    @classmethod
-    def _trusted(cls, items: tuple[tuple[int, int], ...]) -> "MultVec":
-        # items: (size >= 1, count >= 1) pairs sorted by size, as internal arithmetic produces
-        self = object.__new__(cls)
-        self._items = items
-        self._hash = hash(items)
-        return self
+        self._merge(counts, _check_count)
 
     @classmethod
     def from_partition(cls, parts: Iterable[int]) -> "MultVec":
@@ -100,19 +142,6 @@ class MultVec:
             seen[size] = count
         return cls(seen)
 
-    def items(self) -> tuple[tuple[int, int], ...]:
-        return self._items
-
-    def count(self, size: int) -> int:
-        for s, c in self._items:
-            if s == size:
-                return c
-        return 0
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self._items)
-
     @property
     def length(self) -> int:
         """Number of parts of the underlying partition."""
@@ -123,10 +152,6 @@ class MultVec:
         """Sum of all parts, i.e. the integer being partitioned."""
         return sum(s * c for s, c in self._items)
 
-    def factorial_product(self) -> int:
-        """Product of the factorials of the counts."""
-        return _factorial_product(self._items)
-
     def to_partition(self) -> tuple[int, ...]:
         parts: list[int] = []
         for size, count in reversed(self._items):
@@ -136,23 +161,11 @@ class MultVec:
     def render(self) -> str:
         return " ".join(f"{s}^{c}" for s, c in self._items)
 
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MultVec) and self._items == other._items
-
     def __lt__(self, other: "MultVec") -> bool:
         return self._items < other._items
 
     def __le__(self, other: "MultVec") -> bool:
         return self._items <= other._items
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"MultVec({dict(self._items)!r})"
 
 
 def validate_partition(parts: Iterable[int]) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ its base.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 
 from .combinat import MultVec, _factorial_product, partitions
@@ -104,20 +104,30 @@ class TauBasis:
         return f"TauBasis({self.delta!r}, {self.e!r})"
 
 
-# the slot descriptors' setters, bound once: _trusted runs once per output
-# term of a product, and these bypass the __setattr__ that keeps bases immutable
+# the slot descriptors' setters, bound once: _trusted runs once per term that
+# terms() reads, and these bypass the __setattr__ that keeps bases immutable
 _set_delta = TauBasis.delta.__set__
 _set_e = TauBasis.e.__set__
 _set_hash = TauBasis._hash.__set__
 
 
-def _format_term(coeff: int, basis: TauBasis) -> str:
-    # caller guarantees coeff > 0
-    if basis.is_unit():
-        return str(coeff)
-    if coeff == 1:
-        return basis.render()
-    return f"{coeff}*{basis.render()}"
+def _signed_join(terms: Iterable[tuple], show: Callable[[TauBasis], str], times: str) -> str:
+    # the first term bare or after "-", each later one after " + " or " - "; a
+    # unit basis shows its coefficient alone, and a coefficient 1 is left out
+    pieces: list[str] = []
+    for b, c in terms:
+        if pieces:
+            pieces.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            pieces.append("-")
+        mag = abs(c)
+        if b.is_unit():
+            pieces.append(str(mag))
+        elif mag == 1:
+            pieces.append(show(b))
+        else:
+            pieces.append(f"{mag}{times}{show(b)}")
+    return "".join(pieces) or "0"
 
 
 class CycleSum:
@@ -236,41 +246,12 @@ class CycleSum:
 
     def render(self) -> str:
         terms = self.terms()
-        if not terms:
-            return "0"
-        if all(c < 0 for _, c in terms):
-            inner = " + ".join(_format_term(-c, b) for b, c in terms)
-            if len(terms) == 1:
-                return "-" + inner
-            return f"-({inner})"
-        pieces: list[str] = []
-        for i, (b, c) in enumerate(terms):
-            body = _format_term(abs(c), b)
-            if i == 0:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
+        if len(terms) > 1 and all(c < 0 for _, c in terms):
+            return f"-({_signed_join([(b, -c) for b, c in terms], TauBasis.render, '*')})"
+        return _signed_join(terms, TauBasis.render, "*")
 
     def latex(self) -> str:
-        terms = self.terms()
-        if not terms:
-            return "0"
-        pieces: list[str] = []
-        for i, (b, c) in enumerate(terms):
-            mag = abs(c)
-            body = b.latex()
-            if body == "1":
-                term = str(mag)
-            elif mag == 1:
-                term = body
-            else:
-                term = f"{mag}\\,{body}"
-            if i == 0:
-                pieces.append(term if c > 0 else "-" + term)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + term)
-        return "".join(pieces)
+        return _signed_join(self.terms(), TauBasis.latex, r"\,")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CycleSum) and self._raw == other._raw

@@ -11,6 +11,7 @@ import math
 import re
 from collections.abc import Iterable, Iterator, Mapping
 
+from .combinat import _Items
 from .errors import ArgumentError, check_int, decimal_int
 
 __all__ = ["Divisor", "subdivisors", "divisor_binomial"]
@@ -31,7 +32,12 @@ def _check_point(name: object) -> str:
     return name
 
 
-class Divisor:
+def _check_term(name: object, coeff: object) -> None:
+    _check_point(name)
+    check_int(coeff, f"coefficient of {name!r}", 0)
+
+
+class Divisor(_Items):
     """Immutable effective divisor.
 
     >>> d = Divisor({"s": 2, "t": 1})
@@ -43,30 +49,10 @@ class Divisor:
     True
     """
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
-        pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        merged: dict[str, int] = {}
-        for name, c in pairs:
-            _check_point(name)
-            check_int(c, f"coefficient of {name!r}", 0)
-            if c:
-                merged[name] = merged.get(name, 0) + c
-        self._items: tuple[tuple[str, int], ...] = tuple(sorted(merged.items()))
-        self._hash = hash(self._items)
-
-    @classmethod
-    def _trusted(cls, items: tuple[tuple[str, int], ...]) -> "Divisor":
-        # items: sorted (valid name, positive int) pairs, as internal arithmetic produces
-        self = object.__new__(cls)
-        self._items = items
-        self._hash = hash(items)
-        return self
-
-    @classmethod
-    def zero(cls) -> "Divisor":
-        return cls()
+        self._merge(coeffs, _check_term)
 
     @classmethod
     def point(cls, name: str, coeff: int = 1) -> "Divisor":
@@ -102,9 +88,6 @@ class Divisor:
                 out[name] = coeff
         return cls(out)
 
-    def items(self) -> tuple[tuple[str, int], ...]:
-        return self._items
-
     def coeff(self, name: str) -> int:
         for n, c in self._items:
             if n == name:
@@ -112,19 +95,8 @@ class Divisor:
         return 0
 
     @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self._items)
-
-    @property
     def degree(self) -> int:
         return sum(c for _, c in self._items)
-
-    def factorial_product(self) -> int:
-        """Product of factorials of the coefficients."""
-        out = 1
-        for _, c in self._items:
-            out *= math.factorial(c)
-        return out
 
     def __add__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):
@@ -170,18 +142,6 @@ class Divisor:
         if not self._items:
             return "0"
         return "+".join(n if c == 1 else f"{c}{n}" for n, c in self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Divisor) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Divisor({dict(self._items)!r})"
 
 
 def _sum_items(x: tuple[tuple[str, int], ...], y: tuple[tuple[str, int], ...]) -> tuple:

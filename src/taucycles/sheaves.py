@@ -3,7 +3,10 @@
 Every constructor here computes its answer twice, through a product
 expansion and through a closed formula, and refuses to return unless the
 two agree.  A disagreement raises ConsistencyError and means a falsified
-identity, so the check is deliberately not optional.
+identity, so the check is deliberately not optional.  The closed formula
+is one for all four series: the coefficients of
+prod_j (1 - x_j)^rank * prod_s (1 - z_s)^{a_s}, at rank 0 for a
+skyscraper, whose unshifted series takes binom(-a_s, k) for binom(a_s, k).
 
 The pushforwards along addition maps are checked the same way.  A
 composition class is a count of 0-1 matrices against a product of
@@ -27,12 +30,11 @@ from . import combinat
 from .combinat import (
     _factorial_product,
     _partition_items,
-    compositions_fixed_length,
     gen_binomial,
     partitions,
     validate_partition,
 )
-from .divisors import Divisor, divisor_binomial, subdivisors
+from .divisors import Divisor, subdivisors
 from .errors import ArgumentError, ConsistencyError, PreconditionError, check_int
 from .cycle_algebra import CycleSum, _from_raw, _monomial, unit
 from .records import SheafDescriptor
@@ -119,24 +121,8 @@ def s_constant_rank(rank: int, max_degree: int) -> CycleSeries:
 
 
 def _skyscraper_closed(multiplicities: Divisor, shifted: bool, max_degree: int) -> CycleSeries:
-    # the unshifted series is an inverse, so it is supported on divisors of
-    # arbitrarily large coefficient; the shifted binomials vanish past the caps
-    names = multiplicities.support
-    factors = [
-        [math.comb(m, k) if shifted else gen_binomial(-m, k) for k in range(max_degree + 1)]
-        for _, m in multiplicities.items()
-    ]
-    coeffs = []
-    for n in range(max_degree + 1):
-        acc: dict[tuple, dict] = {}
-        sign = -1 if n % 2 else 1
-        for comp in compositions_fixed_length(n, len(names)):
-            c = sign
-            for row, k in zip(factors, comp):
-                c *= row[k]
-            acc[tuple((name, k) for name, k in zip(names, comp) if k)] = {(): c}
-        coeffs.append(CycleSum._trusted(_from_raw(acc)))
-    return CycleSeries._trusted(tuple(coeffs))
+    # the tame closed form at rank 0
+    return _tame_closed(0, multiplicities, max_degree, shifted)
 
 
 def s_skyscraper(multiplicities: Divisor, shifted: bool, max_degree: int) -> CycleSeries:
@@ -157,17 +143,28 @@ def s_skyscraper(multiplicities: Divisor, shifted: bool, max_degree: int) -> Cyc
     return _assert_match(product_route, closed, f"{kind} skyscraper at {multiplicities.pretty()}")
 
 
-def _tame_closed(rank: int, drops: Divisor, max_degree: int) -> CycleSeries:
+def _tame_closed(rank: int, drops: Divisor, max_degree: int, shifted: bool = True) -> CycleSeries:
+    # the coefficients of prod_j (1 - x_j)^rank * prod_s (1 - z_s)^{a_s}, each
+    # point factor inverted when unshifted; (1 - z_s)^{-a_s} has a term in every
+    # degree, so then the divisors are capped by max_degree alone
+    rows = {
+        name: [math.comb(a, k) if shifted else gen_binomial(-a, k) for k in range(max_degree + 1)]
+        for name, a in drops.items()
+    }
+    caps = drops if shifted else Divisor({name: max_degree for name in drops.support})
     shapes = _shape_weights(rank, max_degree)
     # divisors in text order and shapes in item order give the canonical store
-    bounded = sorted(subdivisors(drops, max_degree), key=Divisor.canonical_text)
-    divisors = [(d.items(), d.degree, divisor_binomial(drops, d)) for d in bounded]
+    divisors = [
+        (d.items(), d.degree, math.prod(rows[name][k] for name, k in d.items()))
+        for d in sorted(subdivisors(caps, max_degree), key=Divisor.canonical_text)
+    ]
     coeffs = []
     for n in range(max_degree + 1):
         sign = -1 if n % 2 else 1
+        # at rank 0 only the empty shape, of weight 0, is left, so a group may be empty
         coeffs.append(CycleSum._trusted(tuple(
             (d, tuple((e, sign * base * weight) for e, weight in shapes[n - degree]))
-            for d, degree, base in divisors if degree <= n
+            for d, degree, base in divisors if degree <= n and shapes[n - degree]
         )))
     return CycleSeries._trusted(tuple(coeffs))
 

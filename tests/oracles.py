@@ -23,7 +23,11 @@ answer the slow, obvious way, sharing no code with the kernel it checks:
   root, where ``sheaves._is_prime`` runs a Miller-Rabin test;
 * ``compositions_recursive`` and ``compositions_fixed_length_recursive``
   recurse once per part, where the walks in ``combinat`` step from one
-  composition to the next in a list.
+  composition to the next in a list;
+* ``skyscraper_closed_compositions`` walks the compositions of each
+  degree over the points and sorts each coefficient into its raw store,
+  where ``sheaves._tame_closed`` at rank 0 walks the capped subdivisors
+  and sorts them once.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
 from taucycles.combinat import MultVec, partitions, set_partitions, validate_partition
-from taucycles.cycle_algebra import CycleSum, TauBasis
+from taucycles.cycle_algebra import CycleSum, TauBasis, _from_raw
 from taucycles.divisors import Divisor
 from taucycles.errors import ArgumentError, exact_div
 from taucycles.records import SheafDescriptor
@@ -272,6 +276,36 @@ def compositions_fixed_length_recursive(n: int, length: int) -> Iterator[tuple[i
     for first in range(n + 1):
         for rest in compositions_fixed_length_recursive(n - first, length - 1):
             yield (first,) + rest
+
+
+def skyscraper_closed_compositions(
+    multiplicities: Divisor, shifted: bool, max_degree: int
+) -> tuple[tuple, ...]:
+    """The raw store of each coefficient of ``prod_s (1 - tau[s;])^{m_s}``, or of
+    its inverse when unshifted, through degree ``max_degree``.
+
+    Degree n is the sum, over every composition (k_s) of n into one entry
+    per point, of ``(-1)^n prod_s binom(m_s, k_s)``, or of ``binom(-m_s, k_s)
+    = (-1)^k_s binom(m_s + k_s - 1, k_s)`` when unshifted, at ``tau[sum k_s s;]``.
+    """
+    names = multiplicities.support
+    rows = [
+        [
+            math.comb(m, k) if shifted else (-1) ** k * math.comb(m + k - 1, k)
+            for k in range(max_degree + 1)
+        ]
+        for _, m in multiplicities.items()
+    ]
+    out = []
+    for n in range(max_degree + 1):
+        acc: dict[tuple, dict] = {}
+        for comp in compositions_fixed_length_recursive(n, len(names)):
+            c = (-1) ** n
+            for row, k in zip(rows, comp):
+                c *= row[k]
+            acc[tuple((name, k) for name, k in zip(names, comp) if k)] = {(): c}
+        out.append(_from_raw(acc))
+    return tuple(out)
 
 
 def is_prime_trial_division(p: int) -> bool:

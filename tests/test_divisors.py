@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from taucycles.combinat import MultVec
 from taucycles.divisors import Divisor, divisor_binomial, subdivisors
 from taucycles.errors import ArgumentError
 
@@ -130,3 +131,20 @@ def test_binomial_sums_to_product(d):
     for _, c in d.items():
         expected *= 2**c
     assert total == expected
+
+
+def test_divisor_and_multvec_share_one_representation_but_never_compare_equal():
+    # both store sorted (key, value) items; the empty ones have equal items
+    assert Divisor().items() == MultVec().items() == ()
+    assert Divisor() != MultVec() and MultVec() != Divisor()
+    assert len({Divisor(), MultVec()}) == 2
+
+
+def test_repr_and_hash_of_the_item_vectors():
+    d = Divisor([("t", 1), ("s", 2)])
+    e = MultVec([(2, 1), (1, 2)])
+    assert repr(d) == "Divisor({'s': 2, 't': 1})"
+    assert repr(e) == "MultVec({1: 2, 2: 1})"
+    assert repr(Divisor()) == "Divisor({})"
+    for x in (d, e, Divisor(), MultVec(), Divisor._trusted(d.items()), MultVec.from_partition((3, 1))):
+        assert hash(x) == hash(x.items())

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,42 @@ def test_scripts_run_on_the_public_api(script, args):
     assert proc.returncode == 0
     assert proc.stderr == b""
     assert proc.stdout
+
+
+def _unused_imports(source: str, exported: Iterable[str] = ()) -> list[str]:
+    # names bound by an import that the module neither reads nor lists as
+    # exported; an import on a line marked "noqa: F401" is a deliberate re-export
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = set(exported)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if "noqa: F401" in lines[alias.lineno - 1]:
+                continue
+            if name not in used and name not in exported:
+                unused.append(name)
+    return unused
+
+
+def test_the_unused_import_scan_finds_one():
+    source = "import os\nimport sys  # noqa: F401\nfrom math import comb, gcd\n"
+    assert _unused_imports(source + "print(comb)\n", exported=["gcd"]) == ["os"]
+
+
+def test_every_import_in_the_package_is_used():
+    src = Path(taucycles.__file__).resolve().parent
+    unused = {}
+    for path in sorted(src.glob("*.py")):
+        dotted = "taucycles" if path.stem == "__init__" else f"taucycles.{path.stem}"
+        module = importlib.import_module(dotted)
+        names = _unused_imports(path.read_text(), getattr(module, "__all__", ()))
+        if names:
+            unused[path.name] = names
+    assert unused == {}

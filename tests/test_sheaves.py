@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_prime_trial_division
+from oracles import is_prime_trial_division, skyscraper_closed_compositions
 from taucycles import sheaves
 from taucycles.combinat import MultVec, compositions, count_m, partitions
 from taucycles.cycle_algebra import CycleSum, TauBasis, tau, unit
@@ -328,3 +330,19 @@ class TestPushforwards:
             pushforward_composition((0,))
         with pytest.raises(ArgumentError):
             pushforward_composition((1, -1))
+
+
+def test_skyscraper_closed_route_matches_the_composition_walk():
+    # the rank-0 tame closed form against a walk over the compositions of each
+    # degree, raw store against raw store: 341 divisors, both shifts, degree 0-8.
+    # A coefficient does not depend on the truncation, so one walk serves all nine
+    names = ("s", "p1", "t", "u")
+    for k in range(5):
+        for mults in itertools.product(range(1, 5), repeat=k):
+            d = Divisor(dict(zip(names, mults)))
+            for shifted in (True, False):
+                expected = skyscraper_closed_compositions(d, shifted, 8)
+                for max_degree in range(9):
+                    closed = sheaves._skyscraper_closed(d, shifted, max_degree)
+                    got = tuple(closed.coefficient(n)._raw for n in range(max_degree + 1))
+                    assert got == expected[: max_degree + 1], (d, shifted, max_degree)
