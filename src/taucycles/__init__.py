@@ -30,7 +30,7 @@ _EXPORTS = {
         "partitions",
         "set_partitions",
     ),
-    "divisors": ("Divisor", "divisor_binomial", "subdivisors"),
+    "divisors": ("Divisor", "subdivisors"),
     "cycle_algebra": (
         "CycleSum",
         "TauBasis",

@@ -195,6 +195,18 @@ def _partition_items(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(out.items())
 
 
+def _shapes(n: int, max_part: int) -> list[tuple[tuple[int, int], ...]]:
+    # the items of the partitions of n with parts at most max_part, in item order;
+    # tails[m]: those of weight m with parts >= s, least part s first (at s = 1, m = n only)
+    tails = [[()]] + [[]] * n
+    for s in range(min(n, max_part), 0, -1):
+        tails = [
+            [((s, c),) + t for c in range(1, m // s + 1) for t in tails[m - s * c]] + tails[m]
+            if s > 1 or m == n else [] for m in range(n + 1)
+        ]
+    return tails[n]
+
+
 def _factorial_product(items: tuple[tuple[int, int], ...]) -> int:
     out = 1
     for _, c in items:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 
-from .combinat import MultVec, _factorial_product, partitions
+from .combinat import MultVec, _factorial_product, _shapes
 from .divisors import Divisor, _sum_items, subdivisors
 from .errors import ArgumentError, check_int, exact_div
 
@@ -417,17 +417,13 @@ def structure_constants(e: MultVec, e_prime: MultVec) -> dict[MultVec, int]:
 def basis_of_grade(k: int, points: Iterable[str]) -> list[TauBasis]:
     """Every basis cycle of grade ``k`` whose divisor is supported on ``points``.
 
-    Deterministic order.  Used by the identity sweeps in the test suite.
+    Generated already in ``TauBasis.sort_key`` order, divisor text then ``e``
+    items.  Drives ``strata`` and builds the inputs of the benchmark's square tasks.
     """
+    check_int(k, "grade")
     if k < 0:
         raise ArgumentError(f"grade must be nonnegative, got {k}")
-    names = sorted(set(points))
-    # one walk on an explicit stack, so the call depth does not grow with the points
-    top = Divisor({name: k for name in names})
-    out = [
-        TauBasis(delta, MultVec.from_partition(lam))
-        for delta in subdivisors(top, k)
-        for lam in partitions(k - delta.degree)
-    ]
-    out.sort(key=TauBasis.sort_key)
-    return out
+    divisors = sorted(subdivisors(Divisor(dict.fromkeys(points, k)), k), key=Divisor.canonical_text)
+    weights = {k - d.degree for d in divisors}  # only those that some divisor needs
+    shapes = {m: [MultVec._trusted(e) for e in _shapes(m, m)] for m in weights}
+    return [TauBasis._trusted(delta, e) for delta in divisors for e in shapes[k - delta.degree]]

@@ -7,14 +7,13 @@ or ``p1``; the parser for the ``2*s + t`` notation lives here too.
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Iterable, Iterator, Mapping
 
 from .combinat import _Items
 from .errors import ArgumentError, check_int, decimal_int
 
-__all__ = ["Divisor", "subdivisors", "divisor_binomial"]
+__all__ = ["Divisor", "subdivisors"]
 
 _NAME_RE = re.compile(r"[^\s:*+-][^\s:*+]*\Z")
 # a name may not start with a digit either, or 2*s would be ambiguous
@@ -183,13 +182,3 @@ def subdivisors(d: Divisor, max_degree: int | None = None) -> Iterator[Divisor]:
             stack.append((i + 1, chosen + ((name, c),), left - c))
         stack.append((i + 1, chosen, left))
 
-
-def divisor_binomial(top: Divisor, bottom: Divisor) -> int:
-    """Product over points of binomial(top coefficient, bottom coefficient).
-
-    Zero when ``bottom`` is not bounded by ``top``.
-    """
-    out = 1
-    for name, c in bottom.items():
-        out *= math.comb(top.coeff(name), c) if c <= top.coeff(name) else 0
-    return out

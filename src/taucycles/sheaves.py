@@ -30,6 +30,7 @@ from . import combinat
 from .combinat import (
     _factorial_product,
     _partition_items,
+    _shapes,
     gen_binomial,
     partitions,
     validate_partition,
@@ -80,19 +81,13 @@ def _local_factors(points: Divisor, max_degree: int) -> CycleSeries:
 
 @lru_cache(maxsize=64)
 def _shape_weights(rank: int, max_degree: int) -> tuple[tuple[tuple[tuple, int], ...], ...]:
-    # by weight n <= max_degree, the items of every e with parts at most the
-    # rank, sorted, and its weight prod_i binom(rank, i)^{e_i}
-    out = []
-    for n in range(max_degree + 1):
-        shapes = []
-        for lam in partitions(n, max_part=rank):
-            e = _partition_items(lam)
-            weight = 1
-            for size, count in e:
-                weight *= math.comb(rank, size) ** count
-            shapes.append((e, weight))
-        out.append(tuple(sorted(shapes)))
-    return tuple(out)
+    # by weight n <= max_degree, the items of every e with parts at most the rank,
+    # in item order, and its signed weight (-1)^n prod_i binom(rank, i)^{e_i}
+    binom = [math.comb(rank, i) for i in range(min(rank, max_degree) + 1)]
+    return tuple(
+        tuple((e, (-1) ** n * math.prod(binom[i] ** c for i, c in e)) for e in _shapes(n, rank))
+        for n in range(max_degree + 1)
+    )
 
 
 def _constant_rank_closed(rank: int, max_degree: int) -> CycleSeries:
@@ -153,20 +148,15 @@ def _tame_closed(rank: int, drops: Divisor, max_degree: int, shifted: bool = Tru
     }
     caps = drops if shifted else Divisor({name: max_degree for name in drops.support})
     shapes = _shape_weights(rank, max_degree)
-    # divisors in text order and shapes in item order give the canonical store
-    divisors = [
-        (d.items(), d.degree, math.prod(rows[name][k] for name, k in d.items()))
-        for d in sorted(subdivisors(caps, max_degree), key=Divisor.canonical_text)
-    ]
-    coeffs = []
-    for n in range(max_degree + 1):
-        sign = -1 if n % 2 else 1
-        # at rank 0 only the empty shape, of weight 0, is left, so a group may be empty
-        coeffs.append(CycleSum._trusted(tuple(
-            (d, tuple((e, sign * base * weight) for e, weight in shapes[n - degree]))
-            for d, degree, base in divisors if degree <= n and shapes[n - degree]
-        )))
-    return CycleSeries._trusted(tuple(coeffs))
+    # one walk over the divisors in text order, shapes in item order: each group goes
+    # to every coefficient it reaches, at rank 0 only to the one of its own degree
+    coeffs: list[list] = [[] for _ in range(max_degree + 1)]
+    for d in sorted(subdivisors(caps, max_degree), key=Divisor.canonical_text):
+        items, degree = d.items(), d.degree
+        base = (-1) ** degree * math.prod(rows[name][k] for name, k in items)
+        for m in range(max_degree - degree + 1) if rank else (0,):
+            coeffs[degree + m].append((items, tuple((e, base * w) for e, w in shapes[m])))
+    return CycleSeries._trusted(tuple(CycleSum._trusted(tuple(c)) for c in coeffs))
 
 
 def s_tame(rank: int, drops: Divisor, max_degree: int) -> CycleSeries:
@@ -177,18 +167,17 @@ def s_tame(rank: int, drops: Divisor, max_degree: int) -> CycleSeries:
     coefficient (-1)^n sum over pairs (delta <= drops, e with parts at
     most the rank, |delta| + weight(e) = n) of
     binom(drops, delta) prod_i binom(rank, i)^{e_i} tau[delta; e].
-    The two are compared on every invocation.
+    The two are compared on every invocation, by ``s_constant_rank`` without drops.
     """
     descriptor = SheafDescriptor(rank, drops)  # validates rank and drop bounds
     check_int(max_degree, "max_degree", 0)
     product_route = s_constant_rank(descriptor.rank, max_degree)
-    if descriptor.drops:
-        # the sparse local factors first, then one product with the dense series
-        product_route = product_route * _local_factors(descriptor.drops, max_degree)
+    if not descriptor.drops:
+        return product_route  # its closed form, already checked against the power route
+    # the sparse local factors first, then one product with the dense series
+    product_route = product_route * _local_factors(descriptor.drops, max_degree)
     closed = _tame_closed(descriptor.rank, descriptor.drops, max_degree)
-    return _assert_match(
-        product_route, closed, f"tame rank {rank} with drops {drops.pretty()}"
-    )
+    return _assert_match(product_route, closed, f"tame rank {rank} with drops {drops.pretty()}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,16 @@ answer the slow, obvious way, sharing no code with the kernel it checks:
 * ``skyscraper_closed_compositions`` walks the compositions of each
   degree over the points and sorts each coefficient into its raw store,
   where ``sheaves._tame_closed`` at rank 0 walks the capped subdivisors
-  and sorts them once.
+  and sorts them once;
+* ``tame_closed_per_degree`` scans every divisor again for every degree
+  and sorts the shapes of each weight, where ``sheaves._tame_closed``
+  walks the divisors once with shapes generated in item order;
+* ``basis_of_grade_sorted`` builds every basis through the validating
+  constructors and sorts the list, where
+  ``cycle_algebra.basis_of_grade`` generates it in that order;
+* ``divisor_binomial``, the product over points of the binomials of the
+  coefficients, serves the identity that ``tests/test_divisors.py``
+  checks over ``subdivisors``; no package code needs it.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from functools import lru_cache
 
 from taucycles.combinat import MultVec, partitions, set_partitions, validate_partition
 from taucycles.cycle_algebra import CycleSum, TauBasis, _from_raw
-from taucycles.divisors import Divisor
+from taucycles.divisors import Divisor, subdivisors
 from taucycles.errors import ArgumentError, exact_div
 from taucycles.records import SheafDescriptor
 
@@ -317,3 +326,68 @@ def is_prime_trial_division(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def divisor_binomial(top: Divisor, bottom: Divisor) -> int:
+    """Product over points of binomial(top coefficient, bottom coefficient).
+
+    Zero when ``bottom`` is not bounded by ``top``.
+    """
+    out = 1
+    for name, c in bottom.items():
+        out *= math.comb(top.coeff(name), c) if c <= top.coeff(name) else 0
+    return out
+
+
+def tame_closed_per_degree(
+    rank: int, drops: Divisor, max_degree: int, shifted: bool = True
+) -> tuple[tuple, ...]:
+    """The raw store of each coefficient of ``prod_j (1 - x_j)^rank * prod_s
+    (1 - z_s)^{a_s}``, each point factor inverted when unshifted.
+
+    Degree n scans every divisor in text order and keeps those of degree at
+    most n, each with the shapes of weight n minus its degree, sorted.
+    """
+    rows = {
+        name: [
+            math.comb(a, k) if shifted else (-1) ** k * math.comb(a + k - 1, k)
+            for k in range(max_degree + 1)
+        ]
+        for name, a in drops.items()
+    }
+    caps = drops if shifted else Divisor({name: max_degree for name in drops.support})
+    shapes = []
+    for n in range(max_degree + 1):
+        weighted = []
+        for lam in partitions(n, max_part=rank):
+            e = MultVec.from_partition(lam)
+            weight = 1
+            for size, count in e.items():
+                weight *= math.comb(rank, size) ** count
+            weighted.append((e.items(), weight))
+        shapes.append(sorted(weighted))
+    divisors = [
+        (d.items(), d.degree, math.prod(rows[name][k] for name, k in d.items()))
+        for d in sorted(subdivisors(caps, max_degree), key=Divisor.canonical_text)
+    ]
+    out = []
+    for n in range(max_degree + 1):
+        sign = -1 if n % 2 else 1
+        out.append(tuple(
+            (d, tuple((e, sign * base * weight) for e, weight in shapes[n - degree]))
+            for d, degree, base in divisors if degree <= n and shapes[n - degree]
+        ))
+    return tuple(out)
+
+
+def basis_of_grade_sorted(k: int, points: Iterable[str]) -> list[TauBasis]:
+    """Every basis cycle of grade ``k`` on ``points``, built through the
+    validating constructors and then sorted by ``TauBasis.sort_key``."""
+    top = Divisor({name: k for name in sorted(set(points))})
+    out = [
+        TauBasis(delta, MultVec.from_partition(lam))
+        for delta in subdivisors(top, k)
+        for lam in partitions(k - delta.degree)
+    ]
+    out.sort(key=TauBasis.sort_key)
+    return out

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import structure_constants_set_partitions
+from oracles import basis_of_grade_sorted, structure_constants_set_partitions
 from taucycles import cycle_algebra
 from taucycles.combinat import MultVec, partitions
 from taucycles.cycle_algebra import (
@@ -227,3 +227,22 @@ class TestBasisOfGrade:
     def test_negative_grade(self):
         with pytest.raises(ArgumentError):
             basis_of_grade(-1, [])
+
+    @pytest.mark.parametrize("grade", ["3", 2.5, True, None])
+    def test_grade_that_is_not_an_integer(self, grade):
+        with pytest.raises(ArgumentError, match=r"^grade must be an integer, got "):
+            basis_of_grade(grade, ["s"])
+
+    @pytest.mark.parametrize("points", [[], ["s"], ["t", "s"], ["u", "s", "p1", "s"]])
+    def test_matches_the_sorted_build(self, points):
+        # generated in output order, the list equals the build-then-sort reference
+        for k in range(13):
+            assert basis_of_grade(k, points) == basis_of_grade_sorted(k, points), (k, points)
+
+    def test_calls_no_validating_constructor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a validating constructor ran")
+
+        monkeypatch.setattr(TauBasis, "__init__", refuse)
+        monkeypatch.setattr(MultVec, "from_partition", refuse)
+        assert len(basis_of_grade(6, ["s", "t"])) == 75

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import divisor_binomial
 from taucycles.combinat import MultVec
-from taucycles.divisors import Divisor, divisor_binomial, subdivisors
+from taucycles.divisors import Divisor, subdivisors
 from taucycles.errors import ArgumentError
 
 names = st.sampled_from(["s", "t", "u", "p1"])

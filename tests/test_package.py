@@ -3,6 +3,7 @@ import importlib
 import os
 import subprocess
 import sys
+import types
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -100,3 +101,36 @@ def test_every_import_in_the_package_is_used():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+
+def _reexports(source: str, module: str) -> list[str]:
+    # "module.name" for each name imported on a line marked "noqa: F401"
+    lines = source.splitlines()
+    return [
+        f"{module}.{alias.asname or alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "noqa: F401" in lines[alias.lineno - 1]
+    ]
+
+
+def test_the_reexport_scan_finds_one():
+    source = "import os\nfrom .combinat import partitions  # noqa: F401 - kept\n"
+    assert _reexports(source, "geometry") == ["geometry.partitions"]
+
+
+def test_every_noqa_reexport_is_a_tracer_target():
+    # a "noqa: F401" import in the package exists only so that the benchmark
+    # tracer can wrap the name where the module uses it; once the tracer no
+    # longer resolves that name, the re-export is dead and this flags it
+    tracing_path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("perfbench_tracing")
+    exec(compile(tracing_path.read_text(), str(tracing_path), "exec"), vars(tracing))
+    resolved = {target for _, target, _ in tracing.TARGETS} | set(tracing.CACHES.values())
+    src = Path(taucycles.__file__).resolve().parent
+    reexports = {
+        name for path in sorted(src.glob("*.py")) for name in _reexports(path.read_text(), path.stem)
+    }
+    assert reexports - resolved == set()

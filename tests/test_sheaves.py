@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_prime_trial_division, skyscraper_closed_compositions
+from oracles import (
+    is_prime_trial_division,
+    skyscraper_closed_compositions,
+    tame_closed_per_degree,
+)
 from taucycles import sheaves
 from taucycles.combinat import MultVec, compositions, count_m, partitions
 from taucycles.cycle_algebra import CycleSum, TauBasis, tau, unit
@@ -346,3 +350,46 @@ def test_skyscraper_closed_route_matches_the_composition_walk():
                     closed = sheaves._skyscraper_closed(d, shifted, max_degree)
                     got = tuple(closed.coefficient(n)._raw for n in range(max_degree + 1))
                     assert got == expected[: max_degree + 1], (d, shifted, max_degree)
+
+
+def test_tame_closed_route_matches_the_per_degree_scan():
+    # raw store against raw store: ranks 0-3, both shifts, 0-4 points with drops
+    # 1-4, max degree 0-12.  Unshifted, a coefficient of "s" reaches 10, and text
+    # order puts 10*s before 2*s
+    names = ("s", "p1", "t", "u")
+    patterns = {(a,) * 4 for a in range(1, 5)} | {(1, 2, 3, 4), (4, 3, 2, 1), (2, 4, 1, 3)}
+    drops = {Divisor(dict(zip(names[:k], p))) for k in range(5) for p in patterns}
+    reached_ten = False
+    for d in sorted(drops, key=Divisor.canonical_text):
+        for rank in range(4):
+            for shifted in (True, False):
+                expected = tame_closed_per_degree(rank, d, 12, shifted)
+                for max_degree in range(13):
+                    closed = sheaves._tame_closed(rank, d, max_degree, shifted)
+                    got = tuple(closed.coefficient(n)._raw for n in range(max_degree + 1))
+                    assert got == expected[: max_degree + 1], (rank, d, shifted, max_degree)
+                reached_ten |= any(
+                    ("s", 10) in delta for store in expected for delta, _ in store
+                )
+    assert reached_ten
+
+
+def test_untwisted_tame_series_is_the_checked_constant_rank_series(monkeypatch):
+    # without drops the tame series is the constant-rank one, whose closed form
+    # the power route already checked; no second closed form or comparison is made
+    calls = {"closed": 0, "match": 0}
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sheaves, "_tame_closed", counted("closed", sheaves._tame_closed))
+    monkeypatch.setattr(sheaves, "_assert_match", counted("match", sheaves._assert_match))
+    sheaves._constant_rank_verified.cache_clear()
+    series = s_tame(2, Divisor(), 6)
+    sheaves._constant_rank_verified.cache_clear()
+    assert calls == {"closed": 2, "match": 1}
+    assert series == s_constant_rank(2, 6)
