@@ -22,6 +22,7 @@ only those (and ``json`` only for ``--format json``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import lru_cache
@@ -53,6 +54,11 @@ MAX_TABLE_N = 20
 # about 2 s and 85 MB and 40 ones 15-29 s; the cost grows with the number
 # of partitions of the weight.
 MAX_PUSHFORWARD_WEIGHT = 30
+
+# The most lines of strata, which builds every basis before it prints the first.
+# Cold, --grade 49 (173,525 lines) took 1.4 s and 105 MB, --grade 52 (281,589)
+# 2.2 s and 162 MB, and --grade 55 (451,276) 2.7 s and 253 MB.
+MAX_STRATA_LINES = 200_000
 
 __all__ = ["main", "build_parser"]
 
@@ -115,6 +121,30 @@ def _check_weight(parts: tuple[int, ...]) -> tuple[int, ...]:
             f"weight {sum(parts)} is above the limit of {MAX_PUSHFORWARD_WEIGHT} for this command"
         )
     return parts
+
+
+def _strata_lines(grade: int, n_points: int) -> int:
+    # the lines of strata: the C(d + P - 1, P - 1) divisors of each degree d on P
+    # points, times the p(grade - d) shapes of the rest (d = 0 alone without points);
+    # past MAX_STRATA_LINES the sum stops, so the numbers stay small for any grade
+    p = [1]  # p(m) by Euler's pentagonal recurrence, up to the grade or one past the limit
+    while len(p) <= grade and p[-1] <= MAX_STRATA_LINES:
+        m, total, j = len(p), 0, 1
+        while j * (3 * j - 1) // 2 <= m:
+            sign = 1 if j % 2 else -1
+            for pentagonal in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if pentagonal <= m:
+                    total += sign * p[m - pentagonal]
+            j += 1
+        p.append(total)
+    lines = 0
+    for d in range(grade + 1 if n_points else min(grade + 1, 1)):
+        if grade - d >= len(p):
+            return MAX_STRATA_LINES + 1  # p rises with m, and p[-1] is past the limit
+        lines += (math.comb(d + n_points - 1, d) if n_points else 1) * p[grade - d]
+        if lines > MAX_STRATA_LINES:
+            break
+    return lines
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -221,8 +251,15 @@ def _cmd_mtable(args: argparse.Namespace) -> Views:
 
 def _cmd_strata(args: argparse.Namespace) -> Views:
     from .cycle_algebra import basis_of_grade
+    from .divisors import _check_point
 
-    points = [p for p in args.points.split(",") if p]
+    points = [_check_point(p) for p in args.points.split(",") if p]
+    n_points = len(set(points))
+    if _strata_lines(args.grade, n_points) > MAX_STRATA_LINES:
+        raise PreconditionError(
+            f"--grade {args.grade} on {n_points} points gives more than {MAX_STRATA_LINES} "
+            "strata, the limit for this command"
+        )
     basis = basis_of_grade(args.grade, points)
     return {
         "text": lambda: "\n".join(b.render() for b in basis),

@@ -15,6 +15,14 @@ against the sum over set partitions of its parts, which is counted on
 aggregated states (the multiset of block sums) rather than partition by
 partition.
 
+The constant-rank series and the two pushforwards are cross-checked once
+per distinct input per process: their public entries check the input on
+every call, then ask a private two-route core, cached under the checked
+input with a bound.  The first call for an input runs both routes and
+compares them; a disagreement raises, and an exception is never cached.
+A later call returns the checked result.  ``s_skyscraper`` and ``s_tame``
+with drops compare their routes on every call.
+
 Both routes build the raw stores of their cycle sums (see
 ``cycle_algebra``): the closed forms emit the canonical store directly,
 and the two routes are compared store against store, so a check makes
@@ -187,10 +195,12 @@ def s_tame(rank: int, drops: Divisor, max_degree: int) -> CycleSeries:
 def pushforward_composition(mu: tuple[int, ...]) -> CycleSum:
     """Cycle class pushed forward along the addition map of a composition.
 
-    Two routes, both computed: a matrix count
+    Two routes: a matrix count
     ``(-1)^n sum_lam count_m(lam, mu) tau[0; lam]`` and the product of
     the one-part classes ``prod_j (-1)^{mu_j} tau[0; 1^{mu_j}]``.  They
-    must agree exactly.
+    must agree exactly, or ConsistencyError is raised.  Both run on the
+    first call for a composition; the checked class is kept, for the 32
+    compositions used last, and a repeat returns it without either route.
 
     >>> pushforward_composition((1, 1)).render()
     '2*tau[0; 1^2] + tau[0; 2^1]'
@@ -199,6 +209,15 @@ def pushforward_composition(mu: tuple[int, ...]) -> CycleSum:
     for p in parts:
         if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ArgumentError(f"composition entries must be positive integers, got {p!r}")
+    return _composition_verified(parts)
+
+
+# Each pushforward core keeps the checked results of its last 32 distinct inputs;
+# a pass of the counting benchmark needs 18 per route.  A result of weight 30, the
+# CLI's limit, has 5,604 terms and takes about 2.3 MB, so a full cache holds at most
+# about 74 MB; a result of weight 16 or less takes under 0.1 MB.
+@lru_cache(maxsize=32)
+def _composition_verified(parts: tuple[int, ...]) -> CycleSum:
     n = sum(parts)
     sign = -1 if n % 2 else 1
     # the checks of count_m are made above; the kernel is read at call time, so a patch reaches it
@@ -296,7 +315,10 @@ def pushforward_partition(lam: tuple[int, ...], base_char: int = 0) -> CycleSum:
     are never listed.  Every part must be invertible in the base field.
     A nonzero ``base_char`` must be a prime below ``MAX_PRIME_CHAR``, the
     bound under which primality is decided exactly; a larger one that no
-    base proves composite raises PreconditionError.
+    base proves composite raises PreconditionError.  These checks run on
+    every call.  Both routes run on the first call for a partition; the
+    checked class does not depend on ``base_char`` and is kept, for the
+    32 partitions used last, so a repeat returns it without either route.
     """
     parts = validate_partition(lam)
     if not isinstance(base_char, int) or isinstance(base_char, bool) or (
@@ -309,6 +331,11 @@ def pushforward_partition(lam: tuple[int, ...], base_char: int = 0) -> CycleSum:
                 raise PreconditionError(
                     f"part {p} is not invertible in characteristic {base_char}"
                 )
+    return _partition_verified(parts)
+
+
+@lru_cache(maxsize=32)  # bounded as _composition_verified is
+def _partition_verified(parts: tuple[int, ...]) -> CycleSum:
     fold_route = unit()
     for p in parts:
         fold_route = fold_route * _monomial((), ((p, 1),), -1)

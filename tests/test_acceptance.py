@@ -38,6 +38,7 @@ from taucycles.selftest import structure_constants_oracle
 from taucycles.series import CycleSeries, series_one
 from taucycles.sheaves import (
     SheafDescriptor,
+    _composition_verified,
     _constant_rank_verified,
     pushforward_composition,
     s_constant_rank,
@@ -127,6 +128,7 @@ def test_criterion_02_commutative_and_associative(capfd):
 
 def test_criterion_03_composition_pushforward_routes(capfd):
     bound = 5.0
+    _composition_verified.cache_clear()  # so that every composition runs both routes here
     start = time.perf_counter()
     total = 0
     ok = True

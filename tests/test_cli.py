@@ -6,12 +6,13 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import taucycles
-from taucycles.cli import build_parser, main
+from taucycles.cli import MAX_STRATA_LINES, _strata_lines, build_parser, main
 from taucycles.errors import ConsistencyError
 
 
@@ -279,6 +280,40 @@ class TestStrata:
             )
             code, out, _ = run(capsys, "strata", "--grade", str(k), "--points", points)
             assert (code, len(out.splitlines())) == (0, expected), (k, points)
+            assert _strata_lines(k, npoints) == expected
+
+    def test_line_count_up_to_the_limit(self):
+        # the same sum, from a partition table, on 0 to 8 points; past the limit
+        # only the refusal matters
+        p = [1] + [0] * 80
+        for size in range(1, 81):
+            for n in range(size, 81):
+                p[n] += p[n - size]
+        for npoints in range(9):
+            for k in range(81):
+                expected = sum(
+                    (math.comb(d + npoints - 1, d) if npoints else int(d == 0)) * p[k - d]
+                    for d in range(k + 1)
+                )
+                got = _strata_lines(k, npoints)
+                if expected <= MAX_STRATA_LINES:
+                    assert got == expected, (k, npoints)
+                else:
+                    assert got > MAX_STRATA_LINES, (k, npoints)
+        assert _strata_lines(48, 0) == 147_273  # the README's largest example
+
+    def test_line_limit_is_inclusive(self, capsys, monkeypatch):
+        import taucycles.cli as cli
+
+        monkeypatch.setattr(cli, "MAX_STRATA_LINES", 14)
+        assert run(capsys, "strata", "--grade", "3", "--points", "s,t,s")[0] == 0
+        code, out, err = run(capsys, "strata", "--grade", "4", "--points", "s,t,s")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: --grade 4 on 2 points gives more than 14 strata, the limit for this command\n"
+        )
+        # a bad point name is a bad argument, whatever the size
+        assert run(capsys, "strata", "--grade", "4", "--points", "s,2t")[0] == 2
 
 
 class TestPushforward:
@@ -408,6 +443,42 @@ class TestSelftestAndPlumbing:
         lines = out.splitlines()
         assert len(lines) == 10
         assert all(line.startswith(f"ok {i:02d} ") for i, line in enumerate(lines, 1))
+
+    @pytest.mark.parametrize(
+        "module, name, corrupt, failing_check",
+        [
+            ("sheaves", "_merge_enumeration", lambda real: lambda p: real(p) * 2, 3),
+            ("combinat", "_count_binary_matrices", lambda real: lambda r, c: real(r, c) + 1, 3),
+            ("sheaves", "_constant_rank_closed", lambda real: lambda r, n: real(r + 1, n), 4),
+            ("index", "_count_binary_matrices", lambda real: lambda r, c: real(r, c) + 1, 7),
+            ("index", "_chi_product", lambda real: lambda v, p, n: real(v, p, n) + 1, 8),
+        ],
+    )
+    def test_selftest_checks_again_in_a_warm_process(
+        self, capsys, monkeypatch, module, name, corrupt, failing_check
+    ):
+        # the first run leaves the checked answers cached; the second run must
+        # compare both routes again, not read them from there
+        from taucycles import index, sheaves
+
+        verified = (
+            sheaves._partition_verified,
+            sheaves._composition_verified,
+            sheaves._constant_rank_verified,
+            index._verified_matrix,
+            index._infer_degrees_cached,
+        )
+        assert run(capsys, "selftest")[0] == 0
+        owner = sys.modules[f"taucycles.{module}"]
+        monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+        try:
+            code, out, err = run(capsys, "selftest")
+        finally:
+            for cache in verified:
+                cache.cache_clear()
+        assert code == 4
+        assert len(out.splitlines()) == failing_check - 1
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_consistency_failures_exit_4(self, capsys, monkeypatch):
         import taucycles.cli as cli
@@ -722,6 +793,32 @@ def test_strata_on_many_points_does_not_deepen_the_walk():
     lines = proc.stdout.decode().splitlines()
     assert len(lines) == 1201
     assert lines[0] == "tau[0; 1^1]"
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        # ended in a MemoryError traceback under a 2 GB address-space cap
+        (["--grade", "99999999999"], 0),
+        # 13,271,183 lines: no answer in 12 s
+        (["--grade", "20", "--points", "a,b,c,d,e,f,g,h"], 8),
+    ],
+)
+def test_oversize_strata_is_refused_before_any_work(argv, points):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "taucycles", "strata", *argv],
+        capture_output=True,
+        env=src_env(),
+        timeout=20,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        f"error: --grade {argv[1]} on {points} points gives more than 200000 strata, "
+        "the limit for this command\n"
+    )
 
 
 def test_closed_stdout_exits_zero_without_traceback():

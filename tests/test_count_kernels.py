@@ -26,7 +26,7 @@ COUNT = combinat._count_binary_matrices  # the memoised kernel, kept past any mo
 
 @pytest.fixture
 def cold_caches():
-    # start from an empty count cache, and leave none filled through a patch
+    # start from empty count and pushforward caches, and leave none filled through a patch
     _clear_count_caches()
     yield
     _clear_count_caches()
@@ -36,6 +36,8 @@ def _clear_count_caches():
     COUNT.cache_clear()
     index._verified_matrix.cache_clear()
     index._infer_degrees_cached.cache_clear()
+    sheaves._composition_verified.cache_clear()
+    sheaves._partition_verified.cache_clear()
 
 
 def _corrupt_count(monkeypatch, key):
@@ -80,7 +82,7 @@ def test_merge_dp_matches_set_partition_enumeration_through_12():
                 assert _merge_enumeration(lam) == merge_enumeration(lam), lam
 
 
-def test_off_by_one_in_a_dp_state_is_caught(monkeypatch):
+def test_off_by_one_in_a_dp_state_is_caught(monkeypatch, cold_caches):
     real = sheaves._block_sum_counts
     # Bell(l) set partitions of the l parts in all; the second input has more than eight
     for parts, bell in (((3, 2, 1, 1), 15), ((2, 2) + (1,) * 7, 21147)):

@@ -134,3 +134,81 @@ def test_every_noqa_reexport_is_a_tracer_target():
         name for path in sorted(src.glob("*.py")) for name in _reexports(path.read_text(), path.stem)
     }
     assert reexports - resolved == set()
+
+
+# The one cache allowed without a literal bound, and why.
+UNBOUNDED_CACHES = {
+    "combinat._count_binary_matrices": (
+        "its entries are the states of the count recursion, which the CLI reaches through "
+        "count matrices no larger than MAX_TABLE_N and pushforwards no heavier than "
+        "MAX_PUSHFORWARD_WEIGHT; a bound would evict states the recursion shares"
+    ),
+}
+
+
+def _unbounded_caches(source: str, module: str) -> list[str]:
+    # every functools cache without a literal positive integer maxsize, as
+    # "module.function" for a decorator and "module:line" for any other use
+    tree = ast.parse(source)
+    factories = {  # the name the module binds -> functools.lru_cache or functools.cache
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in ("lru_cache", "cache")
+    }
+    parent, decorated = {}, {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            parent[child] = node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            decorated.update((decorator, node.name) for decorator in node.decorator_list)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in factories:
+            kind = factories[node.id]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+            node.value.id == "functools" and node.attr in ("lru_cache", "cache")
+        ):
+            kind = node.attr
+        else:
+            continue
+        use, size = node, None
+        if isinstance(parent.get(node), ast.Call) and parent[node].func is node:
+            use = parent[node]
+            sizes = [k.value for k in use.keywords if k.arg == "maxsize"] + use.args[:1]
+            size = sizes[0] if sizes else None
+        literal = isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0
+        if kind == "cache" or not literal:
+            where = decorated[use] if use in decorated else None
+            found.append(f"{module}.{where}" if where else f"{module}:{use.lineno}")
+    return sorted(found)
+
+
+def test_the_cache_scan_finds_unbounded_caches():
+    source = (
+        "import functools\n"
+        "from functools import cache as cached, lru_cache as memo\n"
+        "@memo(maxsize=None)\ndef a(): pass\n"
+        "@memo\ndef b(): pass\n"
+        "@functools.cache\ndef c(): pass\n"
+        "@cached\ndef d(): pass\n"
+        "@functools.lru_cache()\ndef e(): pass\n"
+        "@memo(maxsize=8)\ndef f(): pass\n"
+        "@functools.lru_cache(16)\ndef g(): pass\n"
+        "h = memo(maxsize=True)(len)\n"
+        "i = memo(maxsize=2)(len)\n"
+        "cache_size = 4\n"
+    )
+    assert _unbounded_caches(source, "m") == ["m.a", "m.b", "m.c", "m.d", "m.e", "m:17"]
+
+
+def test_every_cache_in_the_package_is_bounded():
+    # every cache has a bound a reader can find in the source, but the one listed above
+    src = Path(taucycles.__file__).resolve().parent
+    found = [
+        name
+        for path in sorted(src.glob("*.py"))
+        for name in _unbounded_caches(path.read_text(), path.stem)
+    ]
+    assert found == sorted(UNBOUNDED_CACHES)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from oracles import (
     skyscraper_closed_compositions,
     tame_closed_per_degree,
 )
-from taucycles import sheaves
+from taucycles import combinat, sheaves
 from taucycles.combinat import MultVec, compositions, count_m, partitions
 from taucycles.cycle_algebra import CycleSum, TauBasis, tau, unit
 from taucycles.divisors import Divisor
@@ -177,6 +178,19 @@ class TestCrossCheckMachinery:
         assert _assert_match(one, one, "trivial") is one
 
 
+VERIFIED_PUSHFORWARDS = (sheaves._partition_verified, sheaves._composition_verified)
+
+
+@pytest.fixture
+def cold_pushforwards():
+    # no checked class from an earlier test, and none left behind by a patched route
+    for core in VERIFIED_PUSHFORWARDS:
+        core.cache_clear()
+    yield
+    for core in VERIFIED_PUSHFORWARDS:
+        core.cache_clear()
+
+
 def _rgs_set_partitions(n):
     # independent enumeration through restricted growth strings
     def grow(prefix, maxval):
@@ -273,7 +287,7 @@ class TestPushforwards:
                 if n <= 10 or len(lam) >= 9:
                     assert pushforward_partition(lam) == _merge_enumeration(lam)
 
-    def test_route_mismatch_raises(self, monkeypatch):
+    def test_route_mismatch_raises(self, monkeypatch, cold_pushforwards):
         def off_by_one(parts):
             return _merge_enumeration(parts) + tau()
 
@@ -334,6 +348,87 @@ class TestPushforwards:
             pushforward_composition((0,))
         with pytest.raises(ArgumentError):
             pushforward_composition((1, -1))
+
+
+class TestVerifiedPushforwardCaches:
+    def test_cached_classes_equal_fresh_computations(self, cold_pushforwards):
+        # every partition of weight at most 10 on both routes; compositions in every
+        # order up to weight 6, then in descending order only
+        for n in range(11):
+            for lam in partitions(n):
+                first = pushforward_partition(lam)
+                assert pushforward_partition(lam, base_char=11) is first
+                assert first == sheaves._partition_verified.__wrapped__(lam), lam
+            for mu in compositions(n) if n <= 6 else partitions(n):
+                first = pushforward_composition(mu)
+                assert pushforward_composition(list(mu)) is first
+                assert first == sheaves._composition_verified.__wrapped__(mu), mu
+
+    def test_a_first_call_runs_both_routes_and_a_repeat_neither(
+        self, monkeypatch, cold_pushforwards
+    ):
+        calls = Counter()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(sheaves, "_merge_enumeration")
+        counted(combinat, "_count_binary_matrices")
+        counted(sheaves, "_monomial")  # one per part on the fold of either pushforward
+        for call, other_route in (
+            (lambda: pushforward_partition((3, 2, 2, 1)), "_merge_enumeration"),
+            (lambda: pushforward_composition((2, 1, 3, 1)), "_count_binary_matrices"),
+        ):
+            call()
+            assert calls["_monomial"] == 4 and calls[other_route] >= 1, calls
+            calls.clear()
+            call()
+            assert calls == Counter()
+        for core in VERIFIED_PUSHFORWARDS:
+            assert core.cache_info()[:2] == (1, 1)  # hits, misses
+
+    def test_a_corrupted_route_raises_and_nothing_is_cached(
+        self, monkeypatch, capsys, cold_pushforwards
+    ):
+        from taucycles.cli import main
+
+        merge, count = _merge_enumeration, combinat._count_binary_matrices
+        expected = {
+            (3, 1, 1): pushforward_partition((3, 1, 1)),
+            (1, 3, 1): pushforward_composition((1, 3, 1)),
+        }
+        for core in VERIFIED_PUSHFORWARDS:
+            core.cache_clear()
+        monkeypatch.setattr(sheaves, "_merge_enumeration", lambda parts: merge(parts) + tau())
+        monkeypatch.setattr(combinat, "_count_binary_matrices", lambda r, c: count(r, c) + 1)
+        with pytest.raises(ConsistencyError, match="enumeration and factor product disagree"):
+            pushforward_partition((3, 1, 1))
+        with pytest.raises(ConsistencyError, match="matrix count and factor product disagree"):
+            pushforward_composition((1, 3, 1))
+        assert main(["pushforward", "--partition", "3,1,1"]) == 4
+        assert main(["pushforward", "--composition", "1,3,1"]) == 4
+        assert capsys.readouterr().out == ""
+        assert [core.cache_info().currsize for core in VERIFIED_PUSHFORWARDS] == [0, 0]
+        monkeypatch.undo()
+        assert pushforward_partition((3, 1, 1)) == expected[3, 1, 1]
+        assert pushforward_composition((1, 3, 1)) == expected[1, 3, 1]
+
+    def test_each_cache_stays_within_its_bound(self, cold_pushforwards):
+        # 52 partitions and 96 compositions, each new to its cache
+        for lam in itertools.chain(partitions(8), partitions(9)):
+            pushforward_partition(lam)
+            assert sheaves._partition_verified.cache_info().currsize <= 32
+        for mu in itertools.chain(compositions(6), compositions(7)):
+            pushforward_composition(mu)
+            assert sheaves._composition_verified.cache_info().currsize <= 32
+        for core in VERIFIED_PUSHFORWARDS:
+            assert core.cache_info().maxsize == core.cache_info().currsize == 32
 
 
 def test_skyscraper_closed_route_matches_the_composition_walk():
